@@ -16,7 +16,7 @@ from .noise import (NoiseReport, NoiseSummary, TailStats, default_burn_in,
                     search_direction_noise, tail_stats)
 from .optimizers import (OptimizerConfig, OptimizerState, Trace, TraceOptions,
                          TraceRecord, map_shb_to_nshb, nshb_step, run, sgd_step,
-                         shb_step)
+                         shb_step, simulate)
 from .problems import (ConstantGradient, FiniteSumLeastSquares, KnownConstants,
                        NoisyQuadratic, Objective, RngStream, SineBowl, eval_f,
                        eval_grad, known_constants, make_objective, minibatch_grad,

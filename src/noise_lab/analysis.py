@@ -19,7 +19,6 @@ stationarity, not a violated bound.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,7 +27,7 @@ import numpy as np
 from . import smoothing as _smoothing
 from . import sweep as _sweep
 from .noise import default_burn_in, minibatch_deviation_sq_samples, search_direction_noise
-from .optimizers import OptimizerConfig, Trace, TraceOptions, run
+from .optimizers import OptimizerConfig, Trace, TraceOptions, run, simulate
 from .problems import ConstantGradient, NoisyQuadratic, Objective, RngStream
 
 
@@ -41,10 +40,6 @@ class BoundComponents:
     @property
     def rhs(self) -> float:
         return self.first_term + self.momentum_term + self.variance_term
-
-    def as_dict(self) -> dict:
-        return {"first_term": self.first_term, "momentum_term": self.momentum_term,
-                "variance_term": self.variance_term, "rhs": self.rhs}
 
 
 def thm_rhs(algo: str, norm_x0_sq: float, eta: float, T: int, c_sq: float,
@@ -124,19 +119,12 @@ def stationarity_check(spec: Objective, x_star, directions: int,
 
 
 def ensemble(spec: Objective, config: OptimizerConfig, x0, steps: int, seeds: int,
-             rng: RngStream, jobs: int = 1, record_f: bool = False) -> list:
-    """Independent-seed traces of equal length with x snapshots, produced
-    concurrently but reduced in seed order."""
-    opts = TraceOptions(record=True, record_x=True, record_f=record_f)
-
-    def one(seed: int) -> Trace:
-        return run(spec, config, x0=x0, max_steps=steps, rng=rng.child(seed),
-                   trace_options=opts)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, range(seeds)))
-    return [one(s) for s in range(seeds)]
+             rng: RngStream, record_f: bool = False) -> list:
+    """Independent-seed traces of equal length with x snapshots, in seed
+    order; seed s runs on rng.child(s), all seeds in one lockstep stack."""
+    return simulate(spec, config, [rng.child(s) for s in range(seeds)], x0=x0,
+                    max_steps=steps,
+                    trace_options=TraceOptions(record=True, record_x=True, record_f=record_f))
 
 
 @dataclass(frozen=True)
@@ -151,45 +139,19 @@ class BoundReport:
     def rhs(self) -> float:
         return self.components.rhs
 
-    def as_dict(self) -> dict:
-        return {"lhs": self.lhs, "lhs_confidence": self.lhs_confidence,
-                "components": self.components.as_dict(), "rhs": self.rhs,
-                "holds": self.holds, "regime_notes": list(self.regime_notes)}
-
 
 def convergence_bound_report(spec: Objective, config: OptimizerConfig, x0, x_ref,
-                             steps: int, seeds: int, rng: RngStream,
-                             jobs: int = 1) -> BoundReport:
+                             steps: int, seeds: int, rng: RngStream) -> BoundReport:
     """Monte-Carlo left side vs analytic right side of the inner-product
     bound, with empirical stand-ins for unknown constants recorded in the
     notes. holds means lhs - confidence <= rhs."""
     x0 = np.asarray(x0, dtype=float)
     x_ref = np.asarray(x_ref, dtype=float)
-    traces = ensemble(spec, config, x0, steps, seeds, rng, jobs=jobs)
+    traces = ensemble(spec, config, x0, steps, seeds, rng)
     lhs, conf = lhs_inner_product(traces, x_ref)
 
-    notes = []
-    consts = spec.constants()
-    if consts.variance is not None:
-        c_sq = consts.variance
-        notes.append("C^2: configured")
-    else:
-        dev = np.concatenate([
-            np.sum((t.minibatch_grads() - t.grads()) ** 2, axis=1) for t in traces])
-        c_sq = float(np.mean(dev) * config.batch_size)
-        notes.append("C^2: ensemble-estimated")
-    if consts.grad_sq_bound is not None:
-        k_sq = consts.grad_sq_bound
-        notes.append("K^2: configured")
-    else:
-        k_sq = max(float(np.max(np.sum(t.grads() ** 2, axis=1))) for t in traces)
-        notes.append("K^2: ensemble max of ||grad||^2")
-
     eta, beta = config.effective_eta_beta()
-    d_hat = 0.0
-    if config.algo != "sgd" and beta > 0.0:
-        d_hat = max(float(np.max(np.linalg.norm(t.xs() - x_ref, axis=1))) for t in traces)
-        notes.append(f"D: ensemble max ||x_t - x_ref|| = {d_hat:.6g}")
+    c_sq, k_sq, d_hat, notes = _sweep.resolve_constants(spec, traces, x_ref, beta)
     if lhs < 0:
         notes.append("lhs is negative: iterates at or past stationarity on average")
 
@@ -201,10 +163,10 @@ def convergence_bound_report(spec: Objective, config: OptimizerConfig, x0, x_ref
     )
 
 
-def minibatch_second_moment_check(trace: Trace, burn_in: Optional[int] = None,
-                                  slack: float = 0.05) -> dict:
-    """Windowed mean of ||minibatch grad||^2 against the empirical
-    C^2/b + K^2 measured on the same trace (5% slack)."""
+def _second_moment_check(trace: Trace, vectors: np.ndarray, burn_in: Optional[int],
+                         slack: float) -> dict:
+    """Windowed mean of ||vectors_t||^2 against the empirical C^2/b + K^2
+    measured on the same trace."""
     _, beta = trace.config.effective_eta_beta()
     if burn_in is None:
         burn_in = default_burn_in(beta)
@@ -214,31 +176,24 @@ def minibatch_second_moment_check(trace: Trace, burn_in: Optional[int] = None,
     w = slice(burn_in, n)
     mbs = trace.minibatch_grads()
     grads = trace.grads()
-    lhs = float(np.mean(np.sum(mbs[w] ** 2, axis=1)))
+    lhs = float(np.mean(np.sum(vectors[w] ** 2, axis=1)))
     c2b = float(np.mean(np.sum((mbs[w] - grads[w]) ** 2, axis=1)))
     k2 = float(np.max(np.sum(grads[w] ** 2, axis=1)))
     rhs = c2b + k2
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs * (1.0 + slack))}
+
+
+def minibatch_second_moment_check(trace: Trace, burn_in: Optional[int] = None,
+                                  slack: float = 0.05) -> dict:
+    """Windowed mean of ||minibatch grad||^2 against the empirical
+    C^2/b + K^2 measured on the same trace (5% slack)."""
+    return _second_moment_check(trace, trace.minibatch_grads(), burn_in, slack)
 
 
 def buffer_second_moment_check(trace: Trace, burn_in: Optional[int] = None,
                                slack: float = 0.05) -> dict:
     """Windowed mean of ||d_t||^2 against the same empirical C^2/b + K^2."""
-    _, beta = trace.config.effective_eta_beta()
-    if burn_in is None:
-        burn_in = default_burn_in(beta)
-    n = len(trace.records)
-    if n <= burn_in:
-        raise ValueError(f"trace has {n} steps, need more than burn_in={burn_in}")
-    w = slice(burn_in, n)
-    dirs = trace.directions()
-    mbs = trace.minibatch_grads()
-    grads = trace.grads()
-    lhs = float(np.mean(np.sum(dirs[w] ** 2, axis=1)))
-    c2b = float(np.mean(np.sum((mbs[w] - grads[w]) ** 2, axis=1)))
-    k2 = float(np.max(np.sum(grads[w] ** 2, axis=1)))
-    rhs = c2b + k2
-    return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs * (1.0 + slack))}
+    return _second_moment_check(trace, trace.directions(), burn_in, slack)
 
 
 @dataclass(frozen=True)
@@ -269,13 +224,16 @@ class VerifySettings:
     variance_draws: int = 100_000
     identity_triples: int = 10_000
     replicas: int = 4_000
-    jobs: int = 1
 
 
 def run_verify_suite(settings: Optional[VerifySettings] = None) -> list:
-    """The default identity-and-bound battery. Asserted checks are expected
-    to pass on every run with any seed budget; diagnostics report the two
-    momentum inequalities whose general validity the measurements decide."""
+    """The default identity-and-bound battery. Diagnostics report the two
+    momentum inequalities whose general validity the measurements decide.
+    Asserted checks compare Monte-Carlo estimates with fixed tolerances, so
+    small budgets fail them on a correct program: at the schema floors,
+    minibatch-variance-scaling (variance_draws=1000) failed for 70 of 200
+    master seeds and minibatch-second-moment-bound (noise_steps=400) for 34
+    of 300."""
     s = settings or VerifySettings()
     rng = RngStream(s.master_seed)
     results = []
@@ -340,7 +298,7 @@ def run_verify_suite(settings: Optional[VerifySettings] = None) -> list:
     sgd = OptimizerConfig(algo="sgd", eta=0.1, batch_size=8)
     sgd_report = convergence_bound_report(quad8, sgd, x0, np.zeros(2),
                                           s.ensemble_steps, s.ensemble_seeds,
-                                          rng.child("bound-sgd"), jobs=s.jobs)
+                                          rng.child("bound-sgd"))
     results.append(CheckResult("sgd-inner-product-bound",
                                sgd_report.lhs - sgd_report.lhs_confidence,
                                sgd_report.rhs, sgd_report.holds, True,
@@ -348,7 +306,7 @@ def run_verify_suite(settings: Optional[VerifySettings] = None) -> list:
     nshb_q = OptimizerConfig(algo="nshb", eta=0.1, beta=0.9, batch_size=8)
     nshb_report = convergence_bound_report(quad8, nshb_q, x0, np.zeros(2),
                                            s.ensemble_steps, s.ensemble_seeds,
-                                           rng.child("bound-nshb"), jobs=s.jobs)
+                                           rng.child("bound-nshb"))
     results.append(CheckResult("nshb-inner-product-bound",
                                nshb_report.lhs - nshb_report.lhs_confidence,
                                nshb_report.rhs, nshb_report.holds, False,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -150,7 +150,7 @@ def cmd_sweep(args) -> int:
     p1 = emit_csv([r.as_dict() for r in summary.rows], out / "sweep.csv",
                   ["b", "seed", "steps", "sfo", "exit_reason"])
     print(f"wrote {p1} ({len(summary.rows)} rows)")
-    p2 = emit_csv([s.as_dict() for s in summary.per_batch], out / "summary.csv",
+    p2 = emit_csv([asdict(s) for s in summary.per_batch], out / "summary.csv",
                   ["b", "mean_steps", "mean_sfo", "converged_fraction"])
     print(f"wrote {p2} ({len(summary.per_batch)} batch sizes)")
 
@@ -206,7 +206,7 @@ def _critical_report(spec, opt, stop, block, summary, seed) -> dict:
         params = sweep_mod.xyz_from_setup(spec, opt, x_ref, trace=ref_trace,
                                           epsilon=stop.epsilon,
                                           x0=block.get("x0"))
-        report["params"] = params.as_dict()
+        report["params"] = asdict(params)
         report["analytic_b_star"] = sweep_mod.analytic_critical_batch(params)
     except (sweep_mod.DomainError, ValueError) as exc:
         notes.append(f"analytic curve unavailable: {exc}")
@@ -233,7 +233,7 @@ def cmd_noise(args) -> int:
     p1 = emit_csv(list(report.rows()), out / "noise.csv",
                   ["t", "grad_noise_sq", "omega_sq"])
     print(f"wrote {p1} ({trace.steps} steps)")
-    p2 = dump_json({"summary": report.summary.as_dict(), "config": resolved},
+    p2 = dump_json({"summary": asdict(report.summary), "config": resolved},
                    out / "noise.json")
     print(f"wrote {p2} (mean omega^2 = {report.summary.mean_omega_sq:.6g})")
     return 0
@@ -340,7 +340,7 @@ def cmd_verify(args) -> int:
         seed = resolve_seed(cfg)
     else:
         seed = analysis.VerifySettings().master_seed
-    settings = analysis.VerifySettings(master_seed=seed, jobs=args.jobs, **block)
+    settings = analysis.VerifySettings(master_seed=seed, **block)
     results = analysis.run_verify_suite(settings)
     all_asserted = all(r.holds for r in results if r.asserted)
     for r in results:
@@ -371,6 +371,13 @@ def cmd_table1(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noise-lab",
@@ -394,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float)
     p.add_argument("--seeds", type=int)
     p.add_argument("--max-steps", type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1, help="threads for the cells")
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("noise", help="per-step noise norms and summary")
@@ -419,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the identity/bound suite")
     common(p)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1, help="no effect; kept for scripts")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("table1", help="print the built-in variance back-estimation fixture")

@@ -76,21 +76,6 @@ class NoiseSummary:
     early_mean_omega_sq: Optional[float]
     early_bias_flagged: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "window_start": self.window_start,
-            "window_stop": self.window_stop,
-            "mean_omega_sq": self.mean_omega_sq,
-            "mean_grad_noise_sq": self.mean_grad_noise_sq,
-            "bound_c2_over_b": self.bound_c2_over_b,
-            "direction_noise_bound_holds": self.direction_noise_bound_holds,
-            "buffer_lag_lhs": self.buffer_lag_lhs,
-            "buffer_lag_rhs": self.buffer_lag_rhs,
-            "buffer_lag_bound_holds": self.buffer_lag_bound_holds,
-            "early_mean_omega_sq": self.early_mean_omega_sq,
-            "early_bias_flagged": self.early_bias_flagged,
-        }
-
 
 @dataclass(frozen=True)
 class NoiseReport:
@@ -176,15 +161,6 @@ class TailStats:
     variance: float
     excess_kurtosis: float
     tail_mass: dict    # {k: fraction of samples beyond k standard deviations}
-
-    def as_dict(self) -> dict:
-        return {
-            "sample_count": self.sample_count,
-            "mean": self.mean,
-            "variance": self.variance,
-            "excess_kurtosis": self.excess_kurtosis,
-            "tail_mass": {str(k): v for k, v in self.tail_mass.items()},
-        }
 
 
 def tail_stats(samples, ks=(3, 4, 5)) -> TailStats:

@@ -9,15 +9,18 @@ Updates (g is the minibatch gradient at x_t, buffers start at zero):
 shb(gamma, beta_bar) traces the same iterates as nshb(eta, beta) under
 eta = gamma / (1 - beta_bar), beta = beta_bar, because m_t = d_t / (1 - beta).
 
-The run loop draws the minibatch once per step from a substream derived
-from the step index, so two algorithms driven by the same RngStream see
-identical noise and cross-algorithm comparisons are exact rather than
-statistical.
+One engine, `simulate`, advances R independent cells in lockstep on
+(R, dim) arrays; `run` is its one-cell case. Each cell draws its minibatch
+once per step from a substream of its own RngStream derived from the step
+index, so two algorithms driven by the same RngStream see identical noise
+and cross-algorithm comparisons are exact rather than statistical, and a
+cell's iterates do not depend on which other cells share its stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -138,14 +141,10 @@ class TraceRecord:
     dist_to_ref: Optional[float] = None
 
     def as_dict(self) -> dict:
-        out = {
-            "t": self.t,
-            "f_value": self.f_value,
-            "grad": [float(v) for v in self.grad],
-            "search_direction": [float(v) for v in self.search_direction],
-            "minibatch_grad": [float(v) for v in self.minibatch_grad],
-        }
-        out["x_snapshot"] = None if self.x_snapshot is None else [float(v) for v in self.x_snapshot]
+        out = {"t": self.t, "f_value": float(self.f_value)}
+        for name in ("grad", "search_direction", "minibatch_grad", "x_snapshot"):
+            v = getattr(self, name)
+            out[name] = None if v is None else np.asarray(v, dtype=float).tolist()
         out["dist_to_ref"] = None if self.dist_to_ref is None else float(self.dist_to_ref)
         return out
 
@@ -158,71 +157,104 @@ class TraceOptions:
     reference_point: Optional[np.ndarray] = None
 
 
+# the TraceRecord fields a Trace stores as columns
+COLUMNS = tuple(f.name for f in fields(TraceRecord) if f.name != "t")
+
+
+class TraceRecords(Sequence):
+    """Lazy per-step TraceRecord view of a trace's columns."""
+
+    def __init__(self, trace: "Trace"):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return 0 if self._trace.grad is None else len(self._trace.grad)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        t = range(len(self))[i]
+        cols = {name: getattr(self._trace, name) for name in COLUMNS}
+        return TraceRecord(t=t, **{k: None if c is None else c[t] for k, c in cols.items()})
+
+
 @dataclass
 class Trace:
-    records: list
+    """One cell's run as a struct of arrays: each column in COLUMNS holds
+    one row per recorded step (vectors as [steps, dim]), or is None when
+    it was not recorded."""
+
     exit_reason: str          # "converged" | "step-cap" | "diverged"
     steps: int
     config: OptimizerConfig
     x_final: np.ndarray
-    reference_point: Optional[np.ndarray] = None
-    _cols: dict = field(default_factory=dict, repr=False)
+    f_value: Optional[np.ndarray] = None
+    grad: Optional[np.ndarray] = None
+    search_direction: Optional[np.ndarray] = None
+    minibatch_grad: Optional[np.ndarray] = None
+    x_snapshot: Optional[np.ndarray] = None
+    dist_to_ref: Optional[np.ndarray] = None
 
-    def _stack(self, name, getter):
-        if name not in self._cols:
-            self._cols[name] = np.stack([getter(r) for r in self.records])
-        return self._cols[name]
+    @property
+    def records(self) -> TraceRecords:
+        return TraceRecords(self)
 
     def grads(self) -> np.ndarray:
-        return self._stack("grads", lambda r: r.grad)
+        return self.grad
 
     def directions(self) -> np.ndarray:
-        return self._stack("directions", lambda r: r.search_direction)
+        return self.search_direction
 
     def minibatch_grads(self) -> np.ndarray:
-        return self._stack("minibatch_grads", lambda r: r.minibatch_grad)
+        return self.minibatch_grad
 
     def xs(self) -> np.ndarray:
-        if any(r.x_snapshot is None for r in self.records):
+        if self.x_snapshot is None:
             raise ValueError("trace was recorded without x snapshots")
-        return self._stack("xs", lambda r: r.x_snapshot)
-
-    def f_values(self) -> np.ndarray:
-        return np.array([r.f_value for r in self.records])
+        return self.x_snapshot
 
 
-def run(spec: Objective, config: OptimizerConfig, x0=None, stop=None,
-        max_steps: int = 1000, rng: Optional[RngStream] = None,
-        trace_options: Optional[TraceOptions] = None) -> Trace:
-    """Drive the configured algorithm against the objective's minibatch
-    oracle until the stop rule fires, the step cap is reached, or the
-    iterate diverges.
+def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStream],
+             x0=None, stop=None, max_steps: int = 1000,
+             trace_options: Optional[TraceOptions] = None) -> list:
+    """Advance one cell per stream in lockstep on (R, dim) arrays, all from
+    x0; returns one Trace per stream, in order.
 
-    `stop` is any object with start() returning an accumulator whose
-    observe(t, grad, minibatch_grad, x) returns True when the run should
-    end (see sweep.StopRule). The minibatch at step t comes from
-    rng.child(t), so runs sharing an RngStream share noise draw-for-draw.
-    """
+    Each cell runs as if alone: its step-t minibatch comes from
+    streams[r].child(t), the step functions above update the stacked
+    state, and a cell leaves the stack once it diverges or its own
+    accumulator from stop.start() fires. observe(t, grad, minibatch_grad,
+    x) sees one cell's vectors and returns True to end it (see
+    sweep.StopRule)."""
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    if rng is None:
-        rng = RngStream(0)
     opts = trace_options or TraceOptions()
     x = np.asarray(x0, dtype=float).copy() if x0 is not None else spec.default_start()
     if x.shape != (spec.dim,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({spec.dim},)")
-    state = OptimizerState.initial(x)
-    b = config.batch_size
-    acc = stop.start() if stop is not None else None
+    cells = len(streams)
+    state = OptimizerState.initial(np.tile(x, (cells, 1)))
+    accs = [stop.start() for _ in streams] if stop is not None else None
     ref = None if opts.reference_point is None else np.asarray(opts.reference_point, dtype=float)
 
-    records = []
-    exit_reason = "step-cap"
-    steps = 0
+    cols = {}
+    if opts.record:
+        cols["f_value"] = np.full((cells, max_steps), np.nan)
+        names = ["grad", "search_direction", "minibatch_grad"]
+        names += ["x_snapshot"] if opts.record_x else []
+        cols.update((n, np.empty((cells, max_steps, spec.dim))) for n in names)
+        if ref is not None:
+            cols["dist_to_ref"] = np.empty((cells, max_steps))
+
+    live = np.arange(cells)               # cell id of each row of the stacked state
+    steps = np.full(cells, max_steps)
+    exit_reason = np.full(cells, "step-cap", dtype=object)
+    x_final = np.empty((cells, spec.dim))
     for t in range(max_steps):
         x_t = state.x
-        g = spec.grad(x_t)
-        gb = spec.minibatch_grad(x_t, b, rng.child(t))
+        g = spec.grad_many(x_t)
+        substreams = [streams[c].child(t) for c in live]
+        gb = spec.minibatch_grad_ensemble(x_t, config.batch_size, substreams)
 
         if config.algo == "sgd":
             sgd_step(state, gb, config.eta)
@@ -235,29 +267,49 @@ def run(spec: Objective, config: OptimizerConfig, x0=None, stop=None,
             direction = state.momentum
 
         if opts.record:
-            records.append(TraceRecord(
-                t=t,
-                f_value=spec.value(x_t) if opts.record_f else float("nan"),
-                grad=g,
-                search_direction=direction.copy(),
-                minibatch_grad=gb,
-                x_snapshot=x_t.copy() if opts.record_x else None,
-                dist_to_ref=float(np.linalg.norm(x_t - ref)) if ref is not None else None,
-            ))
-        steps = t + 1
+            rows = slice(None) if live.size == cells else live    # a slice writes faster
+            cols["grad"][rows, t] = g
+            cols["search_direction"][rows, t] = direction
+            cols["minibatch_grad"][rows, t] = gb
+            if opts.record_x:
+                cols["x_snapshot"][rows, t] = x_t
+            if opts.record_f:
+                cols["f_value"][rows, t] = [spec.value(row) for row in x_t]
+            if ref is not None:
+                cols["dist_to_ref"][rows, t] = [np.linalg.norm(row - ref) for row in x_t]
 
-        if not np.all(np.isfinite(state.x)) or np.max(np.abs(state.x)) > DIVERGENCE_LIMIT:
-            exit_reason = "diverged"
-            break
-        if acc is not None and acc.observe(t, g, gb, x_t):
-            exit_reason = "converged"
-            break
+        # a NaN or infinite coordinate fails the comparison too
+        diverged = ~(np.abs(state.x).max(axis=1) <= DIVERGENCE_LIMIT)
+        done = diverged.tolist() if accs is None else [
+            d or acc.observe(t, g[i], gb[i], x_t[i])
+            for i, (d, acc) in enumerate(zip(diverged.tolist(), accs))]
+        if any(done):
+            done = np.array(done)
+            steps[live[done]] = t + 1
+            exit_reason[live[done]] = np.where(diverged[done], "diverged", "converged")
+            x_final[live[done]] = state.x[done]
+            keep = ~done
+            live, state.x, state.momentum = live[keep], state.x[keep], state.momentum[keep]
+            if accs is not None:
+                accs = [a for a, k in zip(accs, keep) if k]
+            if not live.size:
+                break
+    x_final[live] = state.x
 
-    return Trace(
-        records=records,
-        exit_reason=exit_reason,
-        steps=steps,
-        config=config,
-        x_final=state.x.copy(),
-        reference_point=ref,
-    )
+    return [Trace(exit_reason=exit_reason[c], steps=int(steps[c]), config=config,
+                  x_final=x_final[c], **{name: col[c, :steps[c]] for name, col in cols.items()})
+            for c in range(cells)]
+
+
+def run(spec: Objective, config: OptimizerConfig, x0=None, stop=None,
+        max_steps: int = 1000, rng: Optional[RngStream] = None,
+        trace_options: Optional[TraceOptions] = None) -> Trace:
+    """Drive the configured algorithm against the objective's minibatch
+    oracle until the stop rule fires, the step cap is reached, or the
+    iterate diverges: the one-cell case of `simulate`.
+
+    The minibatch at step t comes from rng.child(t), so runs sharing an
+    RngStream share noise draw-for-draw.
+    """
+    return simulate(spec, config, [rng if rng is not None else RngStream(0)], x0=x0,
+                    stop=stop, max_steps=max_steps, trace_options=trace_options)[0]

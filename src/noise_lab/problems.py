@@ -70,11 +70,11 @@ class RngStream:
     path: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "path", tuple(_label_to_int(p) for p in self.path))
+        object.__setattr__(self, "path", tuple(map(_label_to_int, self.path)))
 
     def child(self, *labels) -> "RngStream":
         """Derive an independent substream; labels are ints or strings."""
-        return RngStream(self.master_seed, self.path + tuple(labels))
+        return RngStream(self.master_seed, self.path + labels)
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
@@ -90,14 +90,6 @@ class KnownConstants:
     grad_sq_bound: Optional[float] = None   # K^2, sup_t E||grad f(x_t)||^2
     lipschitz: Optional[float] = None       # L_f, global Lipschitz constant of f
     sample_count: Optional[int] = None      # n, finite-sum size
-
-    def as_dict(self) -> dict:
-        return {
-            "variance": self.variance,
-            "grad_sq_bound": self.grad_sq_bound,
-            "lipschitz": self.lipschitz,
-            "sample_count": self.sample_count,
-        }
 
 
 class Objective:
@@ -131,6 +123,8 @@ class Objective:
         return np.array([self.value(row) for row in X])
 
     def grad_many(self, X: np.ndarray) -> np.ndarray:
+        """Gradients at each row of X, shape (m, dim); row r equals grad(X[r])
+        bit for bit, which the lockstep engine relies on."""
         X = np.asarray(X, dtype=float)
         return np.stack([self.grad(row) for row in X])
 
@@ -184,13 +178,23 @@ class Objective:
             done += take
         return out
 
-    def minibatch_grad_ensemble(self, X: np.ndarray, b: int, rng: RngStream) -> np.ndarray:
-        """One minibatch gradient per row of X (independent draws), (m, dim)."""
+    def minibatch_grad_ensemble(self, X: np.ndarray, b: int, streams) -> np.ndarray:
+        """One minibatch gradient per row of X (independent draws), (m, dim),
+        from one RngStream for all rows or from one stream per row; then row r
+        equals minibatch_grad(X[r], b, streams[r]) bit for bit."""
         X = np.asarray(X, dtype=float)
         if b < 1:
             raise ValueError(f"batch size must be >= 1, got {b}")
-        gen = rng.generator()
-        return self._minibatch_ensemble(X, b, gen)
+        if isinstance(streams, RngStream):
+            return self._minibatch_ensemble(X, b, streams.generator())
+        if len(streams) != X.shape[0]:
+            raise ValueError(f"got {len(streams)} streams for {X.shape[0]} rows")
+        out = np.empty_like(X)
+        chunk = max(1, _CHUNK_SCALARS // (b * self.dim))
+        for lo in range(0, X.shape[0], chunk):
+            gens = [s.generator() for s in streams[lo:lo + chunk]]
+            out[lo:lo + chunk] = self._minibatch_rows(X[lo:lo + chunk], b, gens)
+        return out
 
     # subclass hooks
 
@@ -199,6 +203,19 @@ class Objective:
 
     def _minibatch_ensemble(self, X, b, gen) -> np.ndarray:
         raise NotImplementedError
+
+    def _minibatch_rows(self, X, b, gens) -> np.ndarray:
+        """One minibatch gradient per row of X, row r drawn from gens[r]
+        exactly as minibatch_grad draws it."""
+        return np.stack([self._minibatch_chunk(x, b, 1, gen)[0] for x, gen in zip(X, gens)])
+
+
+def _dim_vector(value, dim: int, what: str) -> np.ndarray:
+    """A scalar fills every coordinate; a vector must have shape (dim,)."""
+    v = np.asarray(value, dtype=float)
+    if v.ndim and v.shape != (dim,):
+        raise ValueError(f"{what} has shape {v.shape}, which does not match dim {dim}")
+    return v * np.ones(dim)
 
 
 class _AdditiveNoiseObjective(Objective):
@@ -223,6 +240,16 @@ class _AdditiveNoiseObjective(Objective):
         noise = gen.standard_normal((X.shape[0], b, self.dim)) * self.noise_scale
         return G + noise.mean(axis=1)
 
+    def _minibatch_rows(self, X, b, gens):
+        G = self.grad_many(X)
+        if self.variance == 0.0:
+            return G
+        noise = np.empty((len(gens), b, self.dim))
+        for block, gen in zip(noise, gens):
+            gen.standard_normal(out=block)
+        noise *= self.noise_scale
+        return G + np.add.reduce(noise, axis=1) / b     # noise.mean(axis=1), bit for bit
+
 
 class NoisyQuadratic(_AdditiveNoiseObjective):
     """f(x) = 0.5 * sum_j a_j x_j^2 with diagonal curvature a > 0."""
@@ -231,11 +258,8 @@ class NoisyQuadratic(_AdditiveNoiseObjective):
 
     def __init__(self, dim, variance=0.0, curvature=None, x0=None):
         super().__init__(dim, variance, x0)
-        if curvature is None:
-            curvature = np.ones(self.dim)
-        self.curvature = np.asarray(curvature, dtype=float) * np.ones(self.dim)
-        if self.curvature.shape != (self.dim,):
-            raise ValueError("curvature diagonal does not match dim")
+        self.curvature = _dim_vector(1.0 if curvature is None else curvature, self.dim,
+                                     "curvature diagonal")
         if np.any(self.curvature <= 0):
             raise ValueError("curvature diagonal must be positive")
 
@@ -273,11 +297,8 @@ class ConstantGradient(_AdditiveNoiseObjective):
 
     def __init__(self, dim, variance=0.0, coefficient=None, x0=None):
         super().__init__(dim, variance, x0)
-        if coefficient is None:
-            coefficient = np.ones(self.dim)
-        self.coefficient = np.asarray(coefficient, dtype=float) * np.ones(self.dim)
-        if self.coefficient.shape != (self.dim,):
-            raise ValueError("coefficient vector does not match dim")
+        self.coefficient = _dim_vector(1.0 if coefficient is None else coefficient, self.dim,
+                                       "coefficient vector")
 
     def value(self, x):
         x = self._check_x(x)
@@ -344,10 +365,6 @@ class FiniteSumLeastSquares(Objective):
     def value_many(self, X):
         R = np.asarray(X, dtype=float) @ self.data.T - self.targets
         return 0.5 * np.mean(R * R, axis=1)
-
-    def grad_many(self, X):
-        R = np.asarray(X, dtype=float) @ self.data.T - self.targets
-        return (R @ self.data) / self.n
 
     def per_sample_grads(self, x) -> np.ndarray:
         """All n per-sample gradients at x, shape (n, dim)."""

@@ -249,16 +249,6 @@ class MeanUpdateReport:
     burn_in: int
     early_bias_reference: float   # eta * beta * ||grad f(x_start)||
 
-    def as_dict(self) -> dict:
-        return {
-            "discrepancy": self.discrepancy,
-            "confidence_radius": self.confidence_radius,
-            "within_confidence": self.within_confidence,
-            "replicas": self.replicas,
-            "burn_in": self.burn_in,
-            "early_bias_reference": self.early_bias_reference,
-        }
-
 
 def gd_vs_nshb_expectation(spec: Objective, x_start, eta: float, beta: float,
                            replicas: int = 10_000, burn_in: int = 200,

@@ -120,11 +120,6 @@ class BatchStats:
     mean_sfo: float
     converged_fraction: float
 
-    def as_dict(self) -> dict:
-        return {"b": self.b, "mean_steps": self.mean_steps,
-                "mean_sfo": self.mean_sfo,
-                "converged_fraction": self.converged_fraction}
-
 
 @dataclass(frozen=True)
 class SweepSummary:
@@ -232,10 +227,6 @@ class AnalyticCurveParams:
                 "no batch size reaches the threshold under this bound")
         return self.Y / (self.epsilon_sq - self.Z)
 
-    def as_dict(self) -> dict:
-        return {"X": self.X, "Y": self.Y, "Z": self.Z,
-                "epsilon_sq": self.epsilon_sq, "notes": list(self.notes)}
-
 
 def analytic_T(params: AnalyticCurveParams, b: float) -> float:
     """X b / ((eps^2 - Z) b - Y); decreasing and convex past the pole."""
@@ -269,17 +260,50 @@ def variance_upper_bound(b_star: float, epsilon: float, eta: float) -> float:
     return b_star * epsilon * epsilon / eta
 
 
+def resolve_constants(spec: Objective, traces: Sequence[Trace], x_ref, beta: float) -> tuple:
+    """(C^2, K^2, D, notes) of the bound. C^2 and K^2 come from the objective
+    when known, otherwise from the traces (C^2-hat: mean of b *
+    ||minibatch deviation||^2; K^2-hat: max ||grad f(x_t)||^2); D-hat, max
+    ||x_t - x_ref||, is measured only when beta > 0 and is 0.0 otherwise.
+    The notes name each source, worded for one trace or for an ensemble."""
+    consts, notes = spec.constants(), []
+    one = len(traces) == 1
+    if consts.variance is not None:
+        c_sq = consts.variance
+        notes.append("C^2: configured")
+    elif traces:
+        dev = np.concatenate([
+            np.sum((t.minibatch_grads() - t.grads()) ** 2, axis=1) for t in traces])
+        c_sq = float(np.mean(dev) * traces[0].config.batch_size)
+        notes.append("C^2: trace-estimated" if one else "C^2: ensemble-estimated")
+    else:
+        raise ValueError("variance C^2 unknown and no trace to estimate it from")
+    if consts.grad_sq_bound is not None:
+        k_sq = consts.grad_sq_bound
+        notes.append("K^2: configured")
+    elif traces:
+        k_sq = max(float(np.max(np.sum(t.grads() ** 2, axis=1))) for t in traces)
+        notes.append("K^2: trace-estimated" if one else "K^2: ensemble max of ||grad||^2")
+    else:
+        raise ValueError("gradient bound K^2 unknown and no trace to estimate it from")
+    d_hat = 0.0
+    if beta > 0.0:
+        if not traces:
+            raise ValueError("momentum term needs a trace to estimate D = max ||x_t - x_ref||")
+        d_hat = max(float(np.max(np.linalg.norm(t.xs() - x_ref, axis=1))) for t in traces)
+        notes.append(f"D: trace-estimated ({d_hat:.6g})" if one
+                     else f"D: ensemble max ||x_t - x_ref|| = {d_hat:.6g}")
+    return c_sq, k_sq, d_hat, notes
+
+
 def xyz_from_setup(spec: Objective, config: OptimizerConfig, x_ref,
                    trace: Optional[Trace] = None, epsilon: float = 1.0,
                    x0=None) -> AnalyticCurveParams:
     """Assemble (X, Y, Z) for a concrete setup.
 
     X = ||x0 - x_ref||^2 / (2 eta); Y = eta C^2 / 2; Z = eta K^2 / 2, plus
-    beta * D * sqrt(C^2) when momentum is on. Constants come from the
-    objective when known, otherwise they are estimated from the trace
-    (C^2-hat: mean of b * ||minibatch deviation||^2; K^2-hat: max
-    ||grad f(x_t)||^2; D-hat: max ||x_t - x_ref||). The notes record which
-    source was used for each.
+    beta * D * sqrt(C^2) when momentum is on, with the constants and their
+    notes from resolve_constants on the trace.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -289,42 +313,15 @@ def xyz_from_setup(spec: Objective, config: OptimizerConfig, x_ref,
 
     if x0 is not None:
         x_start = np.asarray(x0, dtype=float)
-    elif trace is not None and trace.records and trace.records[0].x_snapshot is not None:
-        x_start = trace.records[0].x_snapshot
+    elif trace is not None and trace.x_snapshot is not None:
+        x_start = trace.x_snapshot[0]
     else:
         x_start = spec.default_start()
         notes.append("x0: objective default start")
     X = float(np.dot(x_start - x_ref, x_start - x_ref)) / (2.0 * eta)
 
-    consts = spec.constants()
-    if consts.variance is not None:
-        c_sq = consts.variance
-        notes.append("C^2: configured")
-    elif trace is not None:
-        dev = trace.minibatch_grads() - trace.grads()
-        c_sq = float(np.mean(np.sum(dev * dev, axis=1)) * trace.config.batch_size)
-        notes.append("C^2: trace-estimated")
-    else:
-        raise ValueError("variance C^2 unknown and no trace to estimate it from")
-
-    if consts.grad_sq_bound is not None:
-        k_sq = consts.grad_sq_bound
-        notes.append("K^2: configured")
-    elif trace is not None:
-        grads = trace.grads()
-        k_sq = float(np.max(np.sum(grads * grads, axis=1)))
-        notes.append("K^2: trace-estimated")
-    else:
-        raise ValueError("gradient bound K^2 unknown and no trace to estimate it from")
-
-    Z = eta * k_sq / 2.0
-    if beta > 0.0:
-        if trace is None:
-            raise ValueError("momentum term needs a trace to estimate D = max ||x_t - x_ref||")
-        xs = trace.xs()
-        d_hat = float(np.max(np.linalg.norm(xs - x_ref, axis=1)))
-        Z += beta * d_hat * math.sqrt(c_sq)
-        notes.append(f"D: trace-estimated ({d_hat:.6g})")
-
+    c_sq, k_sq, d_hat, more = resolve_constants(spec, [] if trace is None else [trace],
+                                              x_ref, beta)
+    Z = eta * k_sq / 2.0 + beta * d_hat * math.sqrt(c_sq)
     return AnalyticCurveParams(X=X, Y=eta * c_sq / 2.0, Z=Z,
-                               epsilon_sq=epsilon * epsilon, notes=tuple(notes))
+                               epsilon_sq=epsilon * epsilon, notes=tuple(notes + more))

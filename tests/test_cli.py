@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from noise_lab.cli import fixture_table_text, main
-from noise_lab.config import SCHEMA, ConfigError, validate_config
+from noise_lab.config import SCHEMA, ConfigError, build_objective, validate_config
 from noise_lab.reporting import dump_json, emit_csv, emit_jsonl
 
 DATA = Path(__file__).parent / "data"
@@ -106,6 +106,17 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, command, jobs):
+        cfg = write_cfg(tmp_path, SWEEP_CFG if command == "sweep" else SMALL_VERIFY)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(out), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigSchema:
     def test_valid_config_passes(self):
@@ -117,6 +128,17 @@ class TestConfigSchema:
         with pytest.raises(ConfigError) as err:
             validate_config(bad)
         assert "sweep" in str(err.value)
+
+    @pytest.mark.parametrize("kind,key", [("noisy-quadratic", "curvature"),
+                                          ("constant-gradient", "coefficient")])
+    def test_vector_param_of_wrong_length_rejected(self, kind, key):
+        problem = {"kind": kind, "dim": 3, "params": {key: [1.0, 2.0]}}
+        with pytest.raises(ConfigError, match="does not match dim") as exc:
+            build_objective({"problem": problem})
+        assert exc.value.json_path == "$.problem"
+        problem["params"][key] = 2.0          # a scalar still fills every coordinate
+        np.testing.assert_array_equal(getattr(build_objective({"problem": problem}), key),
+                                      [2.0, 2.0, 2.0])
 
     def test_schema_is_published(self):
         assert SCHEMA["properties"]["problem"]["properties"]["kind"]["enum"]

@@ -1,0 +1,210 @@
+"""The lockstep engine: every cell of a stack must reproduce, bit for bit,
+the run it would have made alone under the same stream."""
+
+import numpy as np
+import pytest
+
+from noise_lab import problems
+from noise_lab.analysis import ensemble
+from noise_lab.optimizers import (DIVERGENCE_LIMIT, OptimizerConfig, OptimizerState,
+                                  TraceOptions, nshb_step, run, sgd_step, shb_step, simulate)
+from noise_lab.problems import (ConstantGradient, FiniteSumLeastSquares, NoisyQuadratic,
+                                RngStream, SineBowl)
+from noise_lab.sweep import StopRule
+
+COLUMNS = ("f_value", "grad", "search_direction", "minibatch_grad", "x_snapshot",
+           "dist_to_ref")
+
+
+def objectives():
+    gen = np.random.default_rng(7)
+    return [
+        NoisyQuadratic(dim=3, variance=2.0, curvature=[1.0, 2.0, 0.5]),
+        ConstantGradient(dim=2, variance=1.0, coefficient=[1.0, -1.0]),
+        FiniteSumLeastSquares(gen.standard_normal((6, 3)), gen.standard_normal(6)),
+        SineBowl(dim=3, variance=1.5, amplitude=0.7, frequency=2.5),
+    ]
+
+
+CONFIGS = [
+    OptimizerConfig(algo="sgd", eta=0.05, batch_size=3),
+    OptimizerConfig(algo="nshb", eta=0.05, beta=0.8, batch_size=3),
+    OptimizerConfig(algo="shb", gamma=0.02, beta_bar=0.7, batch_size=3),
+]
+
+
+def reference_run(spec, config, x0, max_steps, rng, stop=None):
+    """The one-cell step loop written out: exact gradient, one minibatch from
+    rng.child(t), one update, divergence check, then the stop rule."""
+    state = OptimizerState.initial(x0)
+    acc = stop.start() if stop is not None else None
+    xs, grads, mbs, dirs, fs = [], [], [], [], []
+    exit_reason = "step-cap"
+    for t in range(max_steps):
+        x_t = state.x
+        g = spec.grad(x_t)
+        gb = spec.minibatch_grad(x_t, config.batch_size, rng.child(t))
+        if config.algo == "sgd":
+            sgd_step(state, gb, config.eta)
+            d = gb
+        elif config.algo == "nshb":
+            nshb_step(state, gb, config.eta, config.beta)
+            d = state.momentum
+        else:
+            shb_step(state, gb, config.gamma, config.beta_bar)
+            d = state.momentum
+        xs.append(x_t)
+        grads.append(g)
+        mbs.append(gb)
+        dirs.append(d.copy())
+        fs.append(spec.value(x_t))
+        if not np.all(np.isfinite(state.x)) or np.max(np.abs(state.x)) > DIVERGENCE_LIMIT:
+            exit_reason = "diverged"
+            break
+        if acc is not None and acc.observe(t, g, gb, x_t):
+            exit_reason = "converged"
+            break
+    return {"exit_reason": exit_reason, "steps": len(xs), "x_final": state.x,
+            "x_snapshot": np.array(xs), "grad": np.array(grads),
+            "minibatch_grad": np.array(mbs), "search_direction": np.array(dirs),
+            "f_value": np.array(fs)}
+
+
+def assert_same_trace(a, b):
+    assert a.exit_reason == b.exit_reason
+    assert a.steps == b.steps
+    assert np.array_equal(a.x_final, b.x_final)
+    for name in COLUMNS:
+        col_a, col_b = getattr(a, name), getattr(b, name)
+        assert (col_a is None) == (col_b is None), name
+        if col_a is not None:
+            assert np.array_equal(col_a, col_b), name
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.algo)
+@pytest.mark.parametrize("spec", objectives(), ids=lambda s: s.kind)
+class TestParity:
+    def test_ensemble_equals_per_seed_runs(self, spec, config):
+        rng = RngStream(31).child("parity")
+        x0 = spec.default_start() * 0.5
+        traces = ensemble(spec, config, x0, steps=40, seeds=5, rng=rng, record_f=True)
+        opts = TraceOptions(record=True, record_x=True, record_f=True)
+        for seed, trace in enumerate(traces):
+            alone = run(spec, config, x0=x0, max_steps=40, rng=rng.child(seed),
+                        trace_options=opts)
+            assert_same_trace(trace, alone)
+
+    def test_run_equals_the_written_out_step_loop(self, spec, config):
+        x0 = spec.default_start() * 0.5
+        trace = run(spec, config, x0=x0, max_steps=60, rng=RngStream(4))
+        ref = reference_run(spec, config, x0, 60, RngStream(4))
+        assert trace.exit_reason == ref["exit_reason"]
+        assert trace.steps == ref["steps"]
+        for name in ("x_final", "x_snapshot", "grad", "minibatch_grad",
+                     "search_direction", "f_value"):
+            assert np.array_equal(getattr(trace, name), ref[name]), name
+
+    def test_grad_many_rows_equal_grad(self, spec, config):
+        X = np.random.default_rng(3).standard_normal((7, spec.dim)) * 2.0
+        G = spec.grad_many(X)
+        for x, g in zip(X, G):
+            assert np.array_equal(g, spec.grad(x))
+
+    def test_per_row_streams_equal_minibatch_grad(self, spec, config, monkeypatch):
+        X = np.random.default_rng(5).standard_normal((9, spec.dim))
+        streams = [RngStream(12, (r, 3)) for r in range(len(X))]
+        for chunk_scalars in (problems._CHUNK_SCALARS, 2 * 4 * spec.dim):
+            monkeypatch.setattr(problems, "_CHUNK_SCALARS", chunk_scalars)
+            for b in (1, 4, 33):
+                G = spec.minibatch_grad_ensemble(X, b, streams)
+                for x, s, g in zip(X, streams, G):
+                    assert np.array_equal(g, spec.minibatch_grad(x, b, s))
+
+
+def splitting_problem():
+    """1-d least squares with samples a = 1 and a = 30 at eta = 0.05: a step
+    on sample 0 shrinks x by 0.95, one on sample 1 multiplies it by -44, so
+    cells whose first draw is sample 1 run away (past the divergence limit
+    after 37 to 56 steps on the streams below) while the others meet the
+    stop rule at their second step."""
+    spec = FiniteSumLeastSquares(data=[[1.0], [30.0]], targets=[0.0, 0.0])
+    config = OptimizerConfig(algo="sgd", eta=0.05, batch_size=1)
+    x0 = np.array([1e-4])
+    return spec, config, x0
+
+
+@pytest.mark.parametrize("kind", ["cumulative-grad-norm", "inner-product"])
+def test_cells_leave_the_stack_on_divergence_and_convergence(kind):
+    spec, config, x0 = splitting_problem()
+    g0 = float(np.linalg.norm(spec.grad(x0)))
+    if kind == "cumulative-grad-norm":
+        stop = StopRule(epsilon=0.98 * g0)
+    else:
+        stop = StopRule(epsilon=float(np.sqrt(0.97 * np.dot(x0, spec.grad(x0)))),
+                        kind=kind, reference_point=np.zeros(1))
+    streams = [RngStream(8).child(c) for c in range(10)]
+    for cap in (200, 40):
+        opts = TraceOptions(record=True, record_x=True, reference_point=np.zeros(1))
+        traces = simulate(spec, config, streams, x0=x0, stop=stop, max_steps=cap,
+                          trace_options=opts)
+        reasons = {t.exit_reason for t in traces}
+        assert {"converged", "diverged"} <= reasons
+        assert ("step-cap" in reasons) == (cap == 40)
+        for stream, trace in zip(streams, traces):
+            alone = run(spec, config, x0=x0, stop=stop, max_steps=cap, rng=stream,
+                        trace_options=opts)
+            assert_same_trace(trace, alone)
+            ref = reference_run(spec, config, x0, cap, stream, stop=stop)
+            assert trace.exit_reason == ref["exit_reason"]
+            assert trace.steps == ref["steps"]
+            assert np.array_equal(trace.x_snapshot, ref["x_snapshot"])
+
+
+@pytest.mark.parametrize("kind", ["cumulative-grad-norm", "inner-product"])
+def test_each_cell_keeps_its_own_stop_accumulator(kind):
+    spec = NoisyQuadratic(dim=2, variance=4.0)
+    config = OptimizerConfig(algo="nshb", eta=0.1, beta=0.5, batch_size=1)
+    x0 = np.array([2.0, -1.0])
+    stop = StopRule(epsilon=0.6, kind=kind, reference_point=np.zeros(2))
+    streams = [RngStream(3).child(c) for c in range(12)]
+    traces = simulate(spec, config, streams, x0=x0, stop=stop, max_steps=400,
+                      trace_options=TraceOptions(record=False))
+    converged = [t.steps for t in traces if t.exit_reason == "converged"]
+    assert len(set(converged)) > 3          # cells leave the stack at different steps
+    for stream, trace in zip(streams, traces):
+        alone = run(spec, config, x0=x0, stop=stop, max_steps=400, rng=stream,
+                    trace_options=TraceOptions(record=False))
+        assert_same_trace(trace, alone)
+
+
+class TestColumnarTrace:
+    def setup_method(self):
+        self.spec = NoisyQuadratic(dim=2, variance=4.0)
+        self.cfg = OptimizerConfig(algo="nshb", eta=0.1, beta=0.5, batch_size=2)
+
+    def test_records_are_a_view_of_the_columns(self):
+        trace = run(self.spec, self.cfg, x0=np.array([2.0, -1.0]), max_steps=5,
+                    rng=RngStream(1), trace_options=TraceOptions(reference_point=np.zeros(2)))
+        recs = trace.records
+        assert len(recs) == trace.steps == 5
+        assert [r.t for r in recs] == list(range(5))
+        assert recs[-1].t == 4 and [r.t for r in recs[1:3]] == [1, 2]
+        with pytest.raises(IndexError):
+            recs[5]
+        for t, rec in enumerate(recs):
+            assert rec.f_value == self.spec.value(trace.x_snapshot[t])
+            assert np.array_equal(rec.search_direction, trace.directions()[t])
+            assert rec.dist_to_ref == np.linalg.norm(trace.xs()[t])
+            assert rec.as_dict()["grad"] == [float(v) for v in trace.grads()[t]]
+
+    def test_unrecorded_columns(self):
+        quiet = run(self.spec, self.cfg, max_steps=5, rng=RngStream(1),
+                    trace_options=TraceOptions(record=False))
+        assert len(quiet.records) == 0 and quiet.steps == 5
+        bare = run(self.spec, self.cfg, max_steps=5, rng=RngStream(1),
+                   trace_options=TraceOptions(record_x=False, record_f=False))
+        assert bare.x_snapshot is None and bare.dist_to_ref is None
+        assert np.isnan(bare.f_value).all()
+        assert bare.records[0].x_snapshot is None
+        with pytest.raises(ValueError, match="x snapshots"):
+            bare.xs()
