@@ -209,11 +209,6 @@ class CheckResult:
     def margin(self) -> float:
         return self.rhs - self.lhs
 
-    def as_dict(self) -> dict:
-        return {"check": self.check, "lhs": self.lhs, "rhs": self.rhs,
-                "margin": self.margin, "holds": self.holds,
-                "asserted": self.asserted, "notes": self.notes}
-
 
 @dataclass(frozen=True)
 class VerifySettings:

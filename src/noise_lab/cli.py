@@ -67,6 +67,13 @@ def _resolved(cfg: dict, seed: int, **blocks) -> dict:
     return validate_config(resolved)
 
 
+def _check_dims(vectors, dim: int, json_path: str) -> None:
+    for v in vectors:
+        if len(v) != dim:
+            raise ConfigError(f"{len(v)} coordinates do not match the problem's dim {dim}",
+                              json_path)
+
+
 def _require_config(args) -> dict:
     if not args.config:
         raise ConfigError("this subcommand needs --config")
@@ -122,8 +129,13 @@ def _stop_rule_from(block: dict, spec) -> sweep_mod.StopRule:
 def cmd_sweep(args) -> int:
     cfg = _require_config(args)
     block = dict(cfg.get("sweep", {}))
+    grid_source = "--batch-grid" if args.batch_grid else "$.sweep.batch_grid"
     if args.batch_grid:
-        block["batch_grid"] = [int(v) for v in args.batch_grid.split(",")]
+        try:
+            block["batch_grid"] = [int(v) for v in args.batch_grid.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"expected comma separated integers, got {args.batch_grid!r}",
+                              grid_source) from exc
     if args.epsilon is not None:
         block["epsilon"] = args.epsilon
     if args.seeds is not None:
@@ -137,6 +149,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs an epsilon (flag or config)", "$.sweep.epsilon")
     seed = resolve_seed(cfg)
     resolved = _resolved(cfg, seed, sweep=block)
+    if block["batch_grid"] != sorted(block["batch_grid"]):
+        raise ConfigError(f"batch sizes must be ascending, got {block['batch_grid']}", grid_source)
 
     spec = build_objective(resolved)
     opt = build_optimizer(resolved)
@@ -147,7 +161,7 @@ def cmd_sweep(args) -> int:
     )
 
     out = _out_dir(args, cfg)
-    p1 = emit_csv([r.as_dict() for r in summary.rows], out / "sweep.csv",
+    p1 = emit_csv([dict(asdict(r), steps=r.steps_T) for r in summary.rows], out / "sweep.csv",
                   ["b", "seed", "steps", "sfo", "exit_reason"])
     print(f"wrote {p1} ({len(summary.rows)} rows)")
     p2 = emit_csv([asdict(s) for s in summary.per_batch], out / "summary.csv",
@@ -221,14 +235,17 @@ def cmd_noise(args) -> int:
     block.setdefault("steps", 1500)
     seed = resolve_seed(cfg)
     resolved = _resolved(cfg, seed, noise=block)
+    burn_in = block.get("burn_in", noise_mod.default_burn_in(opt.effective_eta_beta()[1]))
+    if block["steps"] <= burn_in:
+        raise ConfigError(f"{block['steps']} steps leave nothing after a burn-in of {burn_in}",
+                          "$.noise.steps")
 
     trace = run_optimizer(
         spec, opt, x0=block.get("x0"), max_steps=block["steps"],
         rng=RngStream(seed),
         trace_options=TraceOptions(record=True, record_x=False, record_f=False),
     )
-    report = noise_mod.search_direction_noise(trace, spec,
-                                              burn_in=block.get("burn_in"))
+    report = noise_mod.search_direction_noise(trace, spec, burn_in=burn_in)
     out = _out_dir(args, cfg)
     p1 = emit_csv(list(report.rows()), out / "noise.csv",
                   ["t", "grad_noise_sq", "omega_sq"])
@@ -259,6 +276,7 @@ def cmd_smooth(args) -> int:
         block["points"] = [[float(v) for v in spec.default_start()]]
     seed = resolve_seed(cfg)
     resolved = _resolved(cfg, seed, smooth=block)
+    _check_dims(block["points"], spec.dim, "$.smooth.points")
 
     lipschitz = block.get("lipschitz")
     if lipschitz is None and "box_radius" in block:
@@ -280,7 +298,8 @@ def cmd_smooth(args) -> int:
         "lipschitz": report.lipschitz,
         "dist": block["dist"],
         "samples": block["samples"],
-        "points": [p.as_dict() for p in report.points],
+        "points": [{"pass" if k == "passed" else k: v for k, v in asdict(p).items()}
+                   for p in report.points],
         "all_pass": report.all_passed,
         "config": resolved,
     }
@@ -309,6 +328,8 @@ def cmd_sharpness(args) -> int:
     resolved = _resolved(cfg, seed, sharpness=block)
 
     point = block.get("point", [float(v) for v in spec.default_start()])
+    _check_dims([point], spec.dim, "$.sharpness.point")
+    _check_dims([block["c"]] if "c" in block else [], spec.dim, "$.sharpness.c")
     try:
         spec_sharp = smoothing.SharpnessSpec(
             rho=block["rho"], c=block.get("c"), p=block["p"],
@@ -349,7 +370,7 @@ def cmd_verify(args) -> int:
         print(f"  [{status}] {r.check} ({kind}): lhs={r.lhs:.6g} rhs={r.rhs:.6g}")
     resolved = _resolved(cfg, settings.master_seed, verify=block)
     payload = {
-        "checks": [r.as_dict() for r in results],
+        "checks": [dict(asdict(r), margin=r.margin) for r in results],
         "all_asserted_hold": all_asserted,
         "config": resolved,
     }

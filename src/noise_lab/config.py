@@ -152,6 +152,8 @@ def load_config(path) -> dict:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {str(path)!r}: {exc.strerror}", "--config") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a JSON object")
     return validate_config(raw)
@@ -161,9 +163,13 @@ def resolve_seed(cfg: dict) -> int:
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+        if seed < 0:
+            raise ConfigError(f"{SEED_ENV_VAR}={seed} is less than the minimum of 0",
+                              "$.master_seed")
+        return seed
     return int(cfg.get("master_seed", 0))
 
 

@@ -29,9 +29,11 @@ objectives themselves are immutable and safe to share across runs.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,6 +58,109 @@ def _label_to_int(label) -> int:
     return value
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx), replayed bit for bit
+# under numpy's stream-compatibility promise. The hash and mix steps take ints
+# or uint64 arrays of 32-bit values: a stream's pool is mixed once in ints, and
+# a block of step labels gets its PCG64 seed words in one vectorised pass.
+_MASK32, _MULT_A, _MULT_B = 0xFFFFFFFF, 0x931E8875, 0x58F38DED
+_BLOCK = 128        # step labels whose seed words one pass fills
+
+
+def _hash_constants(hc: int, mult: int, n: int) -> np.ndarray:
+    """hc and the hash constants that follow it, n in all."""
+    return np.array([hc * pow(mult, k, 1 << 32) & _MASK32 for k in range(n)], dtype=np.uint64)
+
+
+_GENERATE_HASHES = _hash_constants(0x8B51F9DD, _MULT_B, 8)
+
+
+def _words(n) -> list:
+    """A non-negative int as little-endian uint32 words (0 is one word)."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"seeds and rng path labels must be non-negative, got {n}")
+    return [n >> s & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hashmix(value, hc, mult=_MULT_A) -> tuple:
+    hc_next = hc * mult & _MASK32
+    value = (value ^ hc) * hc_next & _MASK32
+    return value ^ value >> 16, hc_next
+
+
+def _mix(x, y):
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _pool(master_seed, path) -> tuple:
+    """Pool and hash constant of SeedSequence(master_seed, spawn_key=path),
+    ready to absorb more spawn-key words. numpy pads the seed to four words
+    when a spawn key is present and hashes a 0 for each missing word when
+    not, so padding always gives the same pool."""
+    seed = _words(master_seed)
+    entropy = seed + [0] * (4 - len(seed)) + [w for label in path for w in _words(label)]
+    hc, pool = 0x43B0D7E5, []
+    for word in entropy[:4]:
+        h, hc = _hashmix(word, hc)
+        pool.append(h)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h, hc = _hashmix(pool[src], hc)
+                pool[dst] = _mix(pool[dst], h)
+    for word in entropy[4:]:
+        for dst in range(4):
+            h, hc = _hashmix(word, hc)
+            pool[dst] = _mix(pool[dst], h)
+    return pool, hc
+
+
+def _seed_state(pool) -> np.ndarray:
+    """SeedSequence.generate_state(4, np.uint64) of pools on the last axis."""
+    pool = np.asarray(pool, dtype=np.uint64)
+    words, _ = _hashmix(np.concatenate([pool, pool], axis=-1), _GENERATE_HASHES, _MULT_B)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """An ISeedSequence that hands PCG64 the seed words SeedSequence would;
+    built on first use, so importing this module leaves numpy.random unloaded."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype != np.uint64:
+                raise ValueError("only PCG64's four uint64 seed words are replayed")
+            return self.state
+
+    return SeedWords
+
+
+class _StepSeeds:
+    """Seed words of a stream's substreams stream.child(t), t < 2^32: the
+    stream's pool is mixed once, then labels t ... t+_BLOCK-1 are filled in
+    one pass and kept until a label outside them is asked for."""
+
+    def __init__(self, master_seed, path):
+        pool, hc = _pool(master_seed, path)
+        self.pool, self.hashes = np.array(pool, dtype=np.uint64), _hash_constants(hc, _MULT_A, 4)
+        self.window = (0, np.empty((0, 4), dtype=np.uint64))
+
+    def state(self, label: int) -> np.ndarray:
+        start, block = self.window      # read once: a race costs a refill, never a wrong row
+        if not 0 <= label - start < len(block):
+            labels = np.arange(label, min(label + _BLOCK, _MASK32 + 1), dtype=np.uint64)
+            h, _ = _hashmix(labels[:, None], self.hashes)       # one column per pool word
+            start, block = label, _seed_state(_mix(self.pool, h))
+            self.window = (start, block)
+        return block[label - start]
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Deterministic, splittable source of randomness.
@@ -63,22 +168,39 @@ class RngStream:
     Two streams with identical (master_seed, path) produce identical
     sample sequences; streams with distinct paths are statistically
     independent. `generator()` always restarts from the stream's origin,
-    so a stream value denotes a reproducible sequence, not a cursor.
+    so a stream value denotes a reproducible sequence, not a cursor. Its
+    bits are those of np.random.default_rng(np.random.SeedSequence(
+    master_seed, spawn_key=path)); the seeding is replayed here so that a
+    step substream stream.child(t) comes from a block its parent fills.
     """
 
     master_seed: int
     path: tuple[int, ...] = ()
+    # the memo this stream's seed words come from, set by parent.child(t)
+    _step_seeds: Optional[_StepSeeds] = field(default=None, compare=False, repr=False)
+    # the memo of this stream's own child(t) substreams, made on first use
+    # (threads racing here make two, and either gives the right words)
+    _child_seeds: Optional[_StepSeeds] = field(default=None, init=False, compare=False,
+                                               repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "path", tuple(map(_label_to_int, self.path)))
+        if self._step_seeds is None:    # child(t) hands over a checked path
+            object.__setattr__(self, "path", tuple(map(_label_to_int, self.path)))
 
     def child(self, *labels) -> "RngStream":
         """Derive an independent substream; labels are ints or strings."""
-        return RngStream(self.master_seed, self.path + labels)
+        if len(labels) != 1 or type(labels[0]) is not int or labels[0] < 0:
+            return RngStream(self.master_seed, self.path + labels)
+        if self._child_seeds is None:
+            object.__setattr__(self, "_child_seeds", _StepSeeds(self.master_seed, self.path))
+        return RngStream(self.master_seed, self.path + labels, self._child_seeds)
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
-        return np.random.default_rng(seq)
+        if self._step_seeds is not None and self.path[-1] <= _MASK32:
+            state = self._step_seeds.state(self.path[-1])
+        else:
+            state = _seed_state(_pool(self.master_seed, self.path)[0])
+        return np.random.Generator(np.random.PCG64(_seed_words_type()(state)))
 
 
 @dataclass(frozen=True)
@@ -453,25 +575,18 @@ def make_objective(kind: str, dim: Optional[int] = None, params: Optional[dict] 
     params = dict(params or {})
     x0 = params.pop("x0", None)
     known = {
-        "noisy-quadratic": {"curvature"},
-        "constant-gradient": {"coefficient"},
-        "finite-sum-least-squares": {"data", "targets"},
-        "nonconvex-sine-bowl": {"amplitude", "frequency"},
+        "noisy-quadratic": (NoisyQuadratic, {"curvature"}),
+        "constant-gradient": (ConstantGradient, {"coefficient"}),
+        "finite-sum-least-squares": (FiniteSumLeastSquares, {"data", "targets"}),
+        "nonconvex-sine-bowl": (SineBowl, {"amplitude", "frequency"}),
     }
     if kind not in known:
         raise ValueError(f"unknown objective kind {kind!r}; expected one of {KINDS}")
-    extra = set(params) - known[kind]
+    cls, names = known[kind]
+    extra = set(params) - names
     if extra:
         raise ValueError(f"unknown params for kind {kind!r}: {sorted(extra)}")
-    if kind == "noisy-quadratic":
-        if dim is None:
-            raise ValueError("noisy-quadratic needs dim")
-        return NoisyQuadratic(dim, variance=variance, x0=x0, **params)
-    if kind == "constant-gradient":
-        if dim is None:
-            raise ValueError("constant-gradient needs dim")
-        return ConstantGradient(dim, variance=variance, x0=x0, **params)
-    if kind == "finite-sum-least-squares":
+    if cls is FiniteSumLeastSquares:
         if "data" not in params or "targets" not in params:
             raise ValueError("finite-sum-least-squares needs params.data and params.targets")
         obj = FiniteSumLeastSquares(params["data"], params["targets"], variance=variance, x0=x0)
@@ -479,8 +594,8 @@ def make_objective(kind: str, dim: Optional[int] = None, params: Optional[dict] 
             raise ValueError(f"data has dim {obj.dim}, config says {dim}")
         return obj
     if dim is None:
-        raise ValueError("nonconvex-sine-bowl needs dim")
-    return SineBowl(dim, variance=variance, x0=x0, **params)
+        raise ValueError(f"{kind} needs dim")
+    return cls(dim, variance=variance, x0=x0, **params)
 
 
 # functional aliases matching the operation vocabulary

@@ -191,13 +191,6 @@ class GapPoint:
     bound: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "point": [float(v) for v in self.point],
-            "f": self.f, "f_hat": self.f_hat, "std_error": self.std_error,
-            "gap": self.gap, "bound": self.bound, "pass": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class GapReport:

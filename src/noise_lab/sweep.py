@@ -108,10 +108,6 @@ class SweepRow:
     sfo: int
     exit_reason: str
 
-    def as_dict(self) -> dict:
-        return {"b": self.b, "seed": self.seed, "steps": self.steps_T,
-                "sfo": self.sfo, "exit_reason": self.exit_reason}
-
 
 @dataclass(frozen=True)
 class BatchStats:

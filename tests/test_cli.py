@@ -118,6 +118,59 @@ class TestExitCodes:
         assert not out.exists()
 
 
+def exit_status(argv) -> int:
+    """main's return value, or the status of an argparse exit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# (subcommand, extra flags, top-level config overrides, NOISE_LAB_SEED, path
+# the error must name); a config of None points --config at a missing file
+BAD_INPUTS = {
+    "missing-config-file": ("run", [], None, None, "--config"),
+    "empty-batch-size": ("sweep", ["--batch-grid", "8,,16"], {}, None, "--batch-grid"),
+    "descending-batch-grid": ("sweep", ["--batch-grid", "16,8"], {}, None, "--batch-grid"),
+    "descending-config-grid": ("sweep", [],
+                               {"sweep": dict(SWEEP_CFG["sweep"], batch_grid=[16, 8])},
+                               None, "$.sweep.batch_grid"),
+    "noise-steps-below-burn-in": ("noise", [], {"noise": {"steps": 50, "burn_in": 100}}, None,
+                                  "$.noise.steps"),
+    "noise-steps-at-default-burn-in": ("noise", [], {"noise": {"steps": 100}}, None,
+                                       "$.noise.steps"),
+    "jobs-zero": ("sweep", ["--jobs", "0"], {}, None, "--jobs"),
+    "curvature-wrong-length": ("run", [], {"problem": {"kind": "noisy-quadratic", "dim": 2,
+                                                       "params": {"curvature": [1.0, 2.0, 3.0]}}},
+                               None, "$.problem"),
+    "smooth-point-wrong-dim": ("smooth", [], {"smooth": {"points": [[1.0, 2.0, 3.0]]}}, None,
+                               "$.smooth.points"),
+    "sharpness-point-wrong-dim": ("sharpness", [], {"sharpness": {"point": [1.0]}}, None,
+                                  "$.sharpness.point"),
+    "sharpness-scaling-wrong-length": ("sharpness", [], {"sharpness": {"c": [1.0, 2.0, 3.0]}},
+                                       None, "$.sharpness.c"),
+    "negative-env-seed-run": ("run", [], {}, "-1", "$.master_seed"),
+    "negative-env-seed-sweep": ("sweep", [], {}, "-1", "$.master_seed"),
+    "negative-env-seed-verify": ("verify", [], {}, "-1", "$.master_seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_naming_its_path(tmp_path, capsys, monkeypatch, case):
+    command, flags, overrides, env_seed, path = BAD_INPUTS[case]
+    if overrides is None:
+        cfg = str(tmp_path / "missing.json")
+    else:
+        base = SMALL_VERIFY if command == "verify" else SWEEP_CFG
+        cfg = write_cfg(tmp_path, {**base, **overrides})
+    if env_seed is not None:
+        monkeypatch.setenv("NOISE_LAB_SEED", env_seed)
+    out = tmp_path / "out"
+    assert exit_status([command, "--config", cfg, "--out", str(out), *flags]) == 2
+    assert path in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestConfigSchema:
     def test_valid_config_passes(self):
         validate_config(SWEEP_CFG)

@@ -1,5 +1,9 @@
 """Objective oracles: exact values, unbiased noise, minibatch scaling."""
 
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -44,6 +48,97 @@ class TestRngStream:
         first = s.generator().standard_normal(4)
         second = s.generator().standard_normal(4)
         np.testing.assert_array_equal(first, second)
+
+
+def numpy_generator(stream):
+    """The oracle: numpy's own SeedSequence seeding of the stream's path."""
+    seq = np.random.SeedSequence(stream.master_seed, spawn_key=stream.path)
+    return np.random.default_rng(seq)
+
+
+def assert_numpy_bits(stream):
+    ours, oracle = stream.generator(), numpy_generator(stream)
+    np.testing.assert_array_equal(ours.standard_normal(5), oracle.standard_normal(5))
+    np.testing.assert_array_equal(ours.integers(0, 2 ** 62, size=5),
+                                  oracle.integers(0, 2 ** 62, size=5))
+
+
+MASTER_SEEDS = [0, 1, 2024, 2 ** 32 + 5, 2 ** 70 + 3, 2 ** 130 + 7]
+
+
+class TestSeedSequenceReplay:
+    """generator() draws bit for bit what numpy's SeedSequence seeds."""
+
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    @pytest.mark.parametrize("path", [(), ("minibatch",), (3, "ensemble", 0),
+                                      (2 ** 32,), (2 ** 40 + 1, 7)])
+    def test_streams(self, seed, path):
+        assert_numpy_bits(RngStream(seed, path))
+        if path:
+            assert_numpy_bits(RngStream(seed).child(*path))
+
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    def test_steps_in_order_across_blocks(self, seed):
+        for parent in (RngStream(seed), RngStream(seed).child("cell", 3)):
+            for t in range(1201):
+                assert_numpy_bits(parent.child(t))
+
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    def test_steps_out_of_order(self, seed):
+        parent = RngStream(seed, (9,))
+        for t in [700, 3, 130, 129, 128, 127, 0, 1199, 255, 256, 5, 700]:
+            assert_numpy_bits(parent.child(t))
+
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    def test_labels_at_and_past_two_to_the_32(self, seed):
+        parent = RngStream(seed).child("big")
+        for t in [2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 33 + 5, 2 ** 64 + 1, 0, 2 ** 32 - 1]:
+            assert_numpy_bits(parent.child(t))
+
+    def test_parents_interleaved(self):
+        parents = [RngStream(seed).child(c) for seed in (1, 2 ** 70 + 3) for c in range(3)]
+        steps = [(p, t) for p in parents for t in range(300)]
+        random.Random(0).shuffle(steps)
+        for parent, t in steps:
+            assert_numpy_bits(parent.child(t))
+
+    def test_memo_is_not_part_of_the_value(self):
+        stepped = RngStream(5).child(3)
+        assert stepped == RngStream(5, (3,)) and hash(stepped) == hash(RngStream(5, (3,)))
+        assert repr(stepped) == "RngStream(master_seed=5, path=(3,))"
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            RngStream(-1).generator()
+        with pytest.raises(ValueError):
+            RngStream(-1).child(0)
+
+    def test_threads_sharing_a_parent_get_numpy_bits(self):
+        """Threads race on one parent's block window; every draw still
+        equals numpy's."""
+        parent = RngStream(2024).child("shared")
+        labels = list(range(0, 2000, 3))
+        want = {t: numpy_generator(parent.child(t)).standard_normal(3) for t in labels}
+        errors = []
+
+        def worker(order):
+            for t in order:
+                if not np.array_equal(parent.child(t).generator().standard_normal(3), want[t]):
+                    errors.append(t)
+
+        orders = [random.Random(k).sample(labels, len(labels)) for k in range(4)]
+        threads = [threading.Thread(target=worker, args=(o,)) for o in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
 
 
 class TestEvalF:

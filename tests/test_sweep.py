@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from noise_lab.optimizers import OptimizerConfig
-from noise_lab.problems import NoisyQuadratic, RngStream
+from noise_lab.problems import _BLOCK, NoisyQuadratic, RngStream
 from noise_lab.sweep import (
     AnalyticCurveParams,
     BatchStats,
@@ -103,6 +103,17 @@ class TestRunSweep:
         serial = run_sweep(spec, cfg, jobs=1, **kw)
         parallel = run_sweep(spec, cfg, jobs=8, **kw)
         assert serial.rows == parallel.rows
+
+    def test_two_threads_equal_one(self):
+        """Cells share nothing but the master stream, and each cell's steps
+        cross several seed blocks, so jobs=2 must give the jobs=1 rows."""
+        spec = NoisyQuadratic(dim=2, variance=2.0)
+        cfg = OptimizerConfig(algo="sgd", eta=0.05, batch_size=1)
+        kw = dict(batch_grid=[2, 4, 8, 16], seeds=[0, 3, 7], stop=StopRule(epsilon=0.2),
+                  cap=3000, x0=np.array([2.0, 1.0]), master_seed=13)
+        serial = run_sweep(spec, cfg, jobs=1, **kw)
+        assert min(r.steps_T for r in serial.rows) > 2 * _BLOCK
+        assert run_sweep(spec, cfg, jobs=2, **kw).rows == serial.rows
 
     def test_unconverged_batch_flagged_and_excluded(self):
         spec = NoisyQuadratic(dim=2, variance=200.0)
