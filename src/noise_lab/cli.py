@@ -245,6 +245,9 @@ def cmd_noise(args) -> int:
         rng=RngStream(seed),
         trace_options=TraceOptions(record=True, record_x=False, record_f=False),
     )
+    if trace.steps <= burn_in:
+        raise ConfigError(f"the run diverged at step {trace.steps}, before its burn-in of "
+                          f"{burn_in} steps ended", "$.optimizer")
     report = noise_mod.search_direction_noise(trace, spec, burn_in=burn_in)
     out = _out_dir(args, cfg)
     p1 = emit_csv(list(report.rows()), out / "noise.csv",

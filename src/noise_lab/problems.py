@@ -45,8 +45,9 @@ KINDS = (
     "nonconvex-sine-bowl",
 )
 
-# chunk size (in scalar draws) for vectorised Monte-Carlo helpers
-_CHUNK_SCALARS = 4_000_000
+# most scalars one block of Monte-Carlo draws holds: 1 MB of float64, the
+# draws of one b = 8192 step at dim 16
+_CHUNK_SCALARS = 1 << 17
 
 
 def _label_to_int(label) -> int:
@@ -58,11 +59,19 @@ def _label_to_int(label) -> int:
     return value
 
 
+def _word_count(n) -> int:
+    """uint32 words numpy's SeedSequence makes of a non-negative int (0 is one)."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"seeds and rng path labels must be non-negative, got {n}")
+    return max(1, -(-n.bit_length() // 32))
+
+
 # numpy's SeedSequence (numpy/random/bit_generator.pyx), replayed bit for bit
-# under numpy's stream-compatibility promise. The hash and mix steps take ints
-# or uint64 arrays of 32-bit values: a stream's pool is mixed once in ints, and
-# a block of step labels gets its PCG64 seed words in one vectorised pass.
-_MASK32, _MULT_A, _MULT_B = 0xFFFFFFFF, 0x931E8875, 0x58F38DED
+# under numpy's stream-compatibility promise for a block of step labels at once:
+# the hash and mix steps take uint64 arrays of 32-bit values, so the PCG64
+# seed words of many children of one pool come out of one vectorised pass.
+_MASK32, _HASH_INIT, _MULT_A, _MULT_B = 0xFFFFFFFF, 0x43B0D7E5, 0x931E8875, 0x58F38DED
 _BLOCK = 128        # step labels whose seed words one pass fills
 
 
@@ -72,14 +81,6 @@ def _hash_constants(hc: int, mult: int, n: int) -> np.ndarray:
 
 
 _GENERATE_HASHES = _hash_constants(0x8B51F9DD, _MULT_B, 8)
-
-
-def _words(n) -> list:
-    """A non-negative int as little-endian uint32 words (0 is one word)."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"seeds and rng path labels must be non-negative, got {n}")
-    return [n >> s & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
 
 
 def _hashmix(value, hc, mult=_MULT_A) -> tuple:
@@ -93,32 +94,8 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _pool(master_seed, path) -> tuple:
-    """Pool and hash constant of SeedSequence(master_seed, spawn_key=path),
-    ready to absorb more spawn-key words. numpy pads the seed to four words
-    when a spawn key is present and hashes a 0 for each missing word when
-    not, so padding always gives the same pool."""
-    seed = _words(master_seed)
-    entropy = seed + [0] * (4 - len(seed)) + [w for label in path for w in _words(label)]
-    hc, pool = 0x43B0D7E5, []
-    for word in entropy[:4]:
-        h, hc = _hashmix(word, hc)
-        pool.append(h)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                h, hc = _hashmix(pool[src], hc)
-                pool[dst] = _mix(pool[dst], h)
-    for word in entropy[4:]:
-        for dst in range(4):
-            h, hc = _hashmix(word, hc)
-            pool[dst] = _mix(pool[dst], h)
-    return pool, hc
-
-
 def _seed_state(pool) -> np.ndarray:
     """SeedSequence.generate_state(4, np.uint64) of pools on the last axis."""
-    pool = np.asarray(pool, dtype=np.uint64)
     words, _ = _hashmix(np.concatenate([pool, pool], axis=-1), _GENERATE_HASHES, _MULT_B)
     return words.astype("<u4").view("<u8").astype(np.uint64)
 
@@ -142,21 +119,42 @@ def _seed_words_type() -> type:
 
 
 class _StepSeeds:
-    """Seed words of a stream's substreams stream.child(t), t < 2^32: the
-    stream's pool is mixed once, then labels t ... t+_BLOCK-1 are filled in
-    one pass and kept until a label outside them is asked for."""
+    """Seed words of a stream's substreams stream.child(t), t < 2^32. The
+    first label asked for is left to numpy's SeedSequence, so a child made
+    once costs what numpy's does; from the second on, labels t ...
+    t+_BLOCK-1 are filled in one pass and kept until a label outside them is
+    asked for."""
 
     def __init__(self, master_seed, path):
-        pool, hc = _pool(master_seed, path)
-        self.pool, self.hashes = np.array(pool, dtype=np.uint64), _hash_constants(hc, _MULT_A, 4)
-        self.window = (0, np.empty((0, 4), dtype=np.uint64))
+        self.seed_words = _word_count(master_seed)     # a negative seed fails here
+        self.master_seed, self.path = master_seed, path
+        self.window = None      # None until a first label has been asked for
 
-    def state(self, label: int) -> np.ndarray:
-        start, block = self.window      # read once: a race costs a refill, never a wrong row
+    @functools.cached_property
+    def mixer(self) -> tuple:
+        """The stream's pool, and the hash constants with which numpy mixes
+        one more spawn-key word into each of its four words. numpy pads the
+        seed to four words when a spawn key is present (and hashes a 0 for a
+        missing word when not), and mixing W >= 4 entropy words takes 4 W
+        hashmix calls: 4 + 12 for the first four words, 4 for each other."""
+        from numpy.random import SeedSequence
+
+        pool = SeedSequence(self.master_seed, spawn_key=self.path).pool.astype(np.uint64)
+        calls = 4 * (max(self.seed_words, 4) + sum(map(_word_count, self.path)))
+        return pool, _hash_constants(_HASH_INIT * pow(_MULT_A, calls, 1 << 32), _MULT_A, 4)
+
+    def state(self, label: int) -> Optional[np.ndarray]:
+        """child(label)'s seed words, or None if numpy should derive them."""
+        window = self.window    # read once: a race costs a refill, never a wrong row
+        if window is None:
+            self.window = (0, np.empty((0, 4), dtype=np.uint64))
+            return None
+        start, block = window
         if not 0 <= label - start < len(block):
+            pool, hashes = self.mixer
             labels = np.arange(label, min(label + _BLOCK, _MASK32 + 1), dtype=np.uint64)
-            h, _ = _hashmix(labels[:, None], self.hashes)       # one column per pool word
-            start, block = label, _seed_state(_mix(self.pool, h))
+            h, _ = _hashmix(labels[:, None], hashes)       # one column per pool word
+            start, block = label, _seed_state(_mix(pool, h))
             self.window = (start, block)
         return block[label - start]
 
@@ -170,8 +168,8 @@ class RngStream:
     independent. `generator()` always restarts from the stream's origin,
     so a stream value denotes a reproducible sequence, not a cursor. Its
     bits are those of np.random.default_rng(np.random.SeedSequence(
-    master_seed, spawn_key=path)); the seeding is replayed here so that a
-    step substream stream.child(t) comes from a block its parent fills.
+    master_seed, spawn_key=path)); the seeding of step substreams
+    stream.child(t) is replayed here, in blocks their parent fills.
     """
 
     master_seed: int
@@ -196,11 +194,13 @@ class RngStream:
         return RngStream(self.master_seed, self.path + labels, self._child_seeds)
 
     def generator(self) -> np.random.Generator:
-        if self._step_seeds is not None and self.path[-1] <= _MASK32:
-            state = self._step_seeds.state(self.path[-1])
+        seeds = self._step_seeds
+        state = seeds.state(self.path[-1]) if seeds and self.path[-1] <= _MASK32 else None
+        if state is None:
+            seq = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
         else:
-            state = _seed_state(_pool(self.master_seed, self.path)[0])
-        return np.random.Generator(np.random.PCG64(_seed_words_type()(state)))
+            seq = _seed_words_type()(state)
+        return np.random.Generator(np.random.PCG64(seq))
 
 
 @dataclass(frozen=True)
@@ -286,50 +286,43 @@ class Objective:
     def minibatch_grad_means(self, x, b: int, m: int, rng: RngStream) -> np.ndarray:
         """m independent minibatch gradients at a fixed point, shape (m, dim)."""
         x = self._check_x(x)
-        if b < 1:
-            raise ValueError(f"batch size must be >= 1, got {b}")
         if m < 1:
             raise ValueError(f"sample count must be >= 1, got {m}")
-        gen = rng.generator()
-        out = np.empty((m, self.dim))
-        chunk = max(1, _CHUNK_SCALARS // (b * self.dim))
-        done = 0
-        while done < m:
-            take = min(chunk, m - done)
-            out[done:done + take] = self._minibatch_chunk(x, b, take, gen)
-            done += take
-        return out
+        return self._draw_blocks(np.broadcast_to(x, (m, self.dim)), b, rng.generator(),
+                                 at_point=True)
 
     def minibatch_grad_ensemble(self, X: np.ndarray, b: int, streams) -> np.ndarray:
         """One minibatch gradient per row of X (independent draws), (m, dim),
         from one RngStream for all rows or from one stream per row; then row r
         equals minibatch_grad(X[r], b, streams[r]) bit for bit."""
         X = np.asarray(X, dtype=float)
-        if b < 1:
-            raise ValueError(f"batch size must be >= 1, got {b}")
         if isinstance(streams, RngStream):
-            return self._minibatch_ensemble(X, b, streams.generator())
+            return self._draw_blocks(X, b, streams.generator())
         if len(streams) != X.shape[0]:
             raise ValueError(f"got {len(streams)} streams for {X.shape[0]} rows")
-        out = np.empty_like(X)
-        chunk = max(1, _CHUNK_SCALARS // (b * self.dim))
-        for lo in range(0, X.shape[0], chunk):
-            gens = [s.generator() for s in streams[lo:lo + chunk]]
-            out[lo:lo + chunk] = self._minibatch_rows(X[lo:lo + chunk], b, gens)
+        return self._draw_blocks(X, b, streams)
+
+    def _draw_blocks(self, X, b, source, at_point=False) -> np.ndarray:
+        """Minibatch gradients at the rows of X, drawn a block of rows at a
+        time so that no block holds more than _CHUNK_SCALARS draws (unless
+        one row does). source is one generator that fills every row in
+        order, or one RngStream per row; as a generator continues its
+        sequence across calls, no block size changes a bit of the result."""
+        if b < 1:
+            raise ValueError(f"batch size must be >= 1, got {b}")
+        out = np.empty((X.shape[0], self.dim))
+        rows = max(1, _CHUNK_SCALARS // (b * self.dim))
+        one = isinstance(source, np.random.Generator)
+        for lo in range(0, X.shape[0], rows):
+            gens = source if one else [s.generator() for s in source[lo:lo + rows]]
+            out[lo:lo + rows] = self._minibatch_block(X[lo:lo + rows], b, gens, at_point)
         return out
 
-    # subclass hooks
-
-    def _minibatch_chunk(self, x, b, m, gen) -> np.ndarray:
+    def _minibatch_block(self, X, b, gens, at_point) -> np.ndarray:
+        """One minibatch gradient per row of X: gens is one generator for all
+        rows in order or a list of one per row, drawn from as minibatch_grad
+        draws; at_point says every row is the same point."""
         raise NotImplementedError
-
-    def _minibatch_ensemble(self, X, b, gen) -> np.ndarray:
-        raise NotImplementedError
-
-    def _minibatch_rows(self, X, b, gens) -> np.ndarray:
-        """One minibatch gradient per row of X, row r drawn from gens[r]
-        exactly as minibatch_grad draws it."""
-        return np.stack([self._minibatch_chunk(x, b, 1, gen)[0] for x, gen in zip(X, gens)])
 
 
 def _dim_vector(value, dim: int, what: str) -> np.ndarray:
@@ -348,27 +341,16 @@ class _AdditiveNoiseObjective(Objective):
     def noise_scale(self) -> float:
         return math.sqrt(self.variance / self.dim)
 
-    def _minibatch_chunk(self, x, b, m, gen):
-        g = self.grad(x)
-        if self.variance == 0.0:
-            return np.tile(g, (m, 1))
-        noise = gen.standard_normal((m, b, self.dim)) * self.noise_scale
-        return g + noise.mean(axis=1)
-
-    def _minibatch_ensemble(self, X, b, gen):
+    def _minibatch_block(self, X, b, gens, at_point):
         G = self.grad_many(X)
         if self.variance == 0.0:
             return G
-        noise = gen.standard_normal((X.shape[0], b, self.dim)) * self.noise_scale
-        return G + noise.mean(axis=1)
-
-    def _minibatch_rows(self, X, b, gens):
-        G = self.grad_many(X)
-        if self.variance == 0.0:
-            return G
-        noise = np.empty((len(gens), b, self.dim))
-        for block, gen in zip(noise, gens):
-            gen.standard_normal(out=block)
+        noise = np.empty((X.shape[0], b, self.dim))
+        if isinstance(gens, list):
+            for row, gen in zip(noise, gens):
+                gen.standard_normal(out=row)
+        else:
+            gens.standard_normal(out=noise)
         noise *= self.noise_scale
         return G + np.add.reduce(noise, axis=1) / b     # noise.mean(axis=1), bit for bit
 
@@ -511,14 +493,15 @@ class FiniteSumLeastSquares(Objective):
         spectral = float(np.linalg.norm(gram, 2))
         return spectral * radius * math.sqrt(self.dim) + float(np.linalg.norm(bias))
 
-    def _minibatch_chunk(self, x, b, m, gen):
-        grads = self.per_sample_grads(x)
-        idx = gen.integers(0, self.n, size=(m, b))
-        return grads[idx].mean(axis=1)
-
-    def _minibatch_ensemble(self, X, b, gen):
-        X = np.asarray(X, dtype=float)
-        idx = gen.integers(0, self.n, size=(X.shape[0], b))
+    def _minibatch_block(self, X, b, gens, at_point):
+        # minibatch_grad_means and per-row streams gather per-sample gradients;
+        # one stream for many points takes the einsum form, whose bits differ
+        if isinstance(gens, list):
+            return np.concatenate([self.per_sample_grads(x)[gen.integers(0, self.n, size=(1, b))]
+                                   .mean(axis=1) for x, gen in zip(X, gens)])
+        idx = gens.integers(0, self.n, size=(X.shape[0], b))
+        if at_point:
+            return self.per_sample_grads(X[0])[idx].mean(axis=1)
         rows = self.data[idx]                                   # (m, b, dim)
         r = np.einsum("mbd,md->mb", rows, X) - self.targets[idx]
         return np.einsum("mb,mbd->md", r, rows) / b

@@ -139,6 +139,10 @@ BAD_INPUTS = {
                                   "$.noise.steps"),
     "noise-steps-at-default-burn-in": ("noise", [], {"noise": {"steps": 100}}, None,
                                        "$.noise.steps"),
+    "noise-diverges-before-burn-in": (
+        "noise", [], {"problem": {"kind": "noisy-quadratic", "dim": 2, "variance": 1.0},
+                      "optimizer": {"algo": "sgd", "eta": 5.0, "batch_size": 1},
+                      "noise": {"steps": 400}}, None, "$.optimizer"),
     "jobs-zero": ("sweep", ["--jobs", "0"], {}, None, "--jobs"),
     "curvature-wrong-length": ("run", [], {"problem": {"kind": "noisy-quadratic", "dim": 2,
                                                        "params": {"curvature": [1.0, 2.0, 3.0]}}},

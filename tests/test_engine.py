@@ -1,11 +1,15 @@
 """The lockstep engine: every cell of a stack must reproduce, bit for bit,
-the run it would have made alone under the same stream."""
+the run it would have made alone under the same stream; and the oracle's
+draws, made in bounded blocks, must be those of one unblocked draw."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from noise_lab import problems
 from noise_lab.analysis import ensemble
+from noise_lab.noise import minibatch_deviation_sq_samples
 from noise_lab.optimizers import (DIVERGENCE_LIMIT, OptimizerConfig, OptimizerState,
                                   TraceOptions, nshb_step, run, sgd_step, shb_step, simulate)
 from noise_lab.problems import (ConstantGradient, FiniteSumLeastSquares, NoisyQuadratic,
@@ -119,6 +123,77 @@ class TestParity:
                 G = spec.minibatch_grad_ensemble(X, b, streams)
                 for x, s, g in zip(X, streams, G):
                     assert np.array_equal(g, spec.minibatch_grad(x, b, s))
+
+
+def unblocked_draws(spec, X, b, gen, at_point):
+    """One minibatch gradient per row of X from a single draw of the whole
+    array; at_point: every row is X[0], as in minibatch_grad_means."""
+    if isinstance(spec, FiniteSumLeastSquares):
+        idx = gen.integers(0, spec.n, size=(X.shape[0], b))
+        if at_point:
+            return spec.per_sample_grads(X[0])[idx].mean(axis=1)
+        rows = spec.data[idx]
+        r = np.einsum("mbd,md->mb", rows, X) - spec.targets[idx]
+        return np.einsum("mb,mbd->md", r, rows) / b
+    g = spec.grad(X[0]) if at_point else spec.grad_many(X)
+    if spec.variance == 0.0:
+        return g + np.zeros_like(X)
+    return g + (gen.standard_normal((X.shape[0], b, spec.dim)) * spec.noise_scale).mean(axis=1)
+
+
+DRAW_SPECS = objectives() + [NoisyQuadratic(dim=2)]
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3], ids=["default-block", "one-row", "three-rows"])
+@pytest.mark.parametrize("b", [1, 4, 33])
+@pytest.mark.parametrize("spec", DRAW_SPECS,
+                         ids=[s.kind for s in DRAW_SPECS[:-1]] + ["noiseless-quadratic"])
+class TestDrawBlocks:
+    """Each public draw entry gives the bits of one unblocked draw, whatever
+    number of rows a block holds (10 rows: blocks of 3 leave a remainder)."""
+
+    @pytest.fixture(autouse=True)
+    def block_rows(self, spec, b, rows, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(problems, "_CHUNK_SCALARS", rows * b * spec.dim)
+
+    def points(self, spec):
+        return np.random.default_rng(8).standard_normal((10, spec.dim))
+
+    def test_means_at_a_point(self, spec, b, rows):
+        x = self.points(spec)[0]
+        got = spec.minibatch_grad_means(x, b, 10, RngStream(3, (b,)))
+        want = unblocked_draws(spec, np.tile(x, (10, 1)), b, RngStream(3, (b,)).generator(), True)
+        assert np.array_equal(got, want)
+
+    def test_ensemble_from_one_stream(self, spec, b, rows):
+        X = self.points(spec)
+        got = spec.minibatch_grad_ensemble(X, b, RngStream(4, (b,)))
+        want = unblocked_draws(spec, X, b, RngStream(4, (b,)).generator(), False)
+        assert np.array_equal(got, want)
+
+    def test_ensemble_from_a_stream_per_row(self, spec, b, rows):
+        X = self.points(spec)
+        streams = [RngStream(5, (b, r)) for r in range(len(X))]
+        got = spec.minibatch_grad_ensemble(X, b, streams)
+        want = [unblocked_draws(spec, X[r:r + 1], b, s.generator(), True)[0]
+                for r, s in enumerate(streams)]
+        assert np.array_equal(got, want)
+
+
+def test_minibatch_means_hold_one_block_of_draws_at_a_time():
+    """100,000 minibatch means at b = 64 and dim 2 are 12.8M Gaussians (98 MB);
+    drawn in 1 MB blocks, the call's peak stays a few (m, dim) arrays."""
+    spec, x = NoisyQuadratic(2, 4.0), np.array([1.0, -2.0])
+    RngStream(0).generator()        # numpy.random loaded before tracing starts
+    tracemalloc.start()
+    try:
+        samples = minibatch_deviation_sq_samples(spec, x, 64, 100_000, RngStream(6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert samples.shape == (100_000,)
+    assert peak < 8 * 2 ** 20
 
 
 def splitting_problem():

@@ -95,6 +95,23 @@ class TestSeedSequenceReplay:
         for t in [2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 33 + 5, 2 ** 64 + 1, 0, 2 ** 32 - 1]:
             assert_numpy_bits(parent.child(t))
 
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    @pytest.mark.parametrize("labels", [(7,), (0,), (2 ** 32 - 1,), ("identity",),
+                                        ("cell", 3), (4, 2)])
+    def test_one_off_children_of_a_fresh_parent(self, seed, labels):
+        for parent in (RngStream(seed), RngStream(seed, ("cell", 2 ** 40))):
+            assert_numpy_bits(parent.child(*labels))
+
+    @pytest.mark.parametrize("parent", [RngStream(17).child("cell"), RngStream(2 ** 130 + 7),
+                                        RngStream(2 ** 70 + 3, (2 ** 40, "cell", 2 ** 64 + 9))])
+    def test_step_seeds_fill_a_block_from_the_second_label_on(self, parent):
+        assert_numpy_bits(parent.child(5))
+        assert len(parent._child_seeds.window[1]) == 0      # numpy derived the first alone
+        for t in (5, 6, 700):
+            assert_numpy_bits(parent.child(t))
+            assert parent._child_seeds.window[0] == (700 if t == 700 else 5)
+            assert len(parent._child_seeds.window[1]) == 128
+
     def test_parents_interleaved(self):
         parents = [RngStream(seed).child(c) for seed in (1, 2 ** 70 + 3) for c in range(3)]
         steps = [(p, t) for p in parents for t in range(300)]
