@@ -20,7 +20,7 @@ from . import analysis, noise as noise_mod, smoothing, sweep as sweep_mod
 from .config import (SEED_ENV_VAR, ConfigError, build_objective, build_optimizer,
                      load_config, resolve_seed, validate_config)
 from .optimizers import TraceOptions, run as run_optimizer
-from .problems import RngStream
+from .problems import RNG_CONTRACT, RngStream
 from .reporting import dump_json, emit_csv, emit_jsonl
 
 DEFAULT_BATCH_GRID = [2 ** k for k in range(3, 14)]
@@ -72,6 +72,11 @@ def _check_dims(vectors, dim: int, json_path: str) -> None:
         if len(v) != dim:
             raise ConfigError(f"{len(v)} coordinates do not match the problem's dim {dim}",
                               json_path)
+
+
+def _dump_report(payload: dict, path: Path) -> Path:
+    """Write a JSON report stamped with the stream contract its draws follow."""
+    return dump_json(dict(payload, rng_contract=RNG_CONTRACT), path)
 
 
 def _require_config(args) -> dict:
@@ -170,7 +175,7 @@ def cmd_sweep(args) -> int:
 
     critical = _critical_report(spec, opt, stop, block, summary, seed)
     critical["config"] = resolved
-    p3 = dump_json(critical, out / "critical.json")
+    p3 = _dump_report(critical, out / "critical.json")
     print(f"wrote {p3} (empirical b* = {critical['empirical_b_star']})")
     return 0
 
@@ -245,16 +250,16 @@ def cmd_noise(args) -> int:
         rng=RngStream(seed),
         trace_options=TraceOptions(record=True, record_x=False, record_f=False),
     )
-    if trace.steps <= burn_in:
-        raise ConfigError(f"the run diverged at step {trace.steps}, before its burn-in of "
-                          f"{burn_in} steps ended", "$.optimizer")
+    if trace.exit_reason == "diverged":     # its noise would cancel against huge gradients
+        early = f", before its burn-in of {burn_in} steps ended" if trace.steps <= burn_in else ""
+        raise ConfigError(f"the run diverged at step {trace.steps}{early}", "$.optimizer")
     report = noise_mod.search_direction_noise(trace, spec, burn_in=burn_in)
     out = _out_dir(args, cfg)
     p1 = emit_csv(list(report.rows()), out / "noise.csv",
                   ["t", "grad_noise_sq", "omega_sq"])
     print(f"wrote {p1} ({trace.steps} steps)")
-    p2 = dump_json({"summary": asdict(report.summary), "config": resolved},
-                   out / "noise.json")
+    p2 = _dump_report({"summary": asdict(report.summary), "config": resolved},
+                      out / "noise.json")
     print(f"wrote {p2} (mean omega^2 = {report.summary.mean_omega_sq:.6g})")
     return 0
 
@@ -306,7 +311,7 @@ def cmd_smooth(args) -> int:
         "all_pass": report.all_passed,
         "config": resolved,
     }
-    path = dump_json(payload, out / "smooth.json")
+    path = _dump_report(payload, out / "smooth.json")
     print(f"wrote {path} ({len(report.points)} points, all_pass={report.all_passed})")
     return 0
 
@@ -352,7 +357,7 @@ def cmd_sharpness(args) -> int:
         "point": [float(v) for v in point],
         "config": resolved,
     }
-    path = dump_json(payload, out / "sharpness.json")
+    path = _dump_report(payload, out / "sharpness.json")
     print(f"wrote {path} (sharpness = {value:.6g})")
     return 0
 
@@ -378,7 +383,7 @@ def cmd_verify(args) -> int:
         "config": resolved,
     }
     out = _out_dir(args, cfg)
-    path = dump_json(payload, out / "verify.json")
+    path = _dump_report(payload, out / "verify.json")
     print(f"wrote {path} ({len(results)} checks, all asserted hold: {all_asserted})")
     return 0 if all_asserted else 1
 

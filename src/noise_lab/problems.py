@@ -8,7 +8,9 @@ Every objective exposes three oracles:
     equal to a configured constant C^2 (additive-noise kinds) or bounded
     by the data (finite-sum kind),
   * a minibatch gradient: the mean of b iid draws with replacement, whose
-    deviation second moment is C^2 / b.
+    deviation second moment is C^2 / b; minibatch_grad_means averages b
+    explicit draws, while a step (minibatch_grad_ensemble) of an additive
+    kind draws that mean directly, exact in law (see RNG_CONTRACT).
 
 Kinds:
 
@@ -46,8 +48,10 @@ KINDS = (
 )
 
 # most scalars one block of Monte-Carlo draws holds: 1 MB of float64, the
-# draws of one b = 8192 step at dim 16
+# explicit draws of one b = 8192 minibatch mean at dim 16
 _CHUNK_SCALARS = 1 << 17
+# stream contract written into every report: 2 draws an additive step's mean directly
+RNG_CONTRACT = 2
 
 
 def _label_to_int(label) -> int:
@@ -293,8 +297,9 @@ class Objective:
 
     def minibatch_grad_ensemble(self, X: np.ndarray, b: int, streams) -> np.ndarray:
         """One minibatch gradient per row of X (independent draws), (m, dim),
-        from one RngStream for all rows or from one stream per row; then row r
-        equals minibatch_grad(X[r], b, streams[r]) bit for bit."""
+        from one RngStream for all rows or from one stream per row. Row r has
+        the law of minibatch_grad(X[r], b, streams[r]); the additive kinds draw
+        its mean directly as dim normals, so their bits agree only at b = 1."""
         X = np.asarray(X, dtype=float)
         if isinstance(streams, RngStream):
             return self._draw_blocks(X, b, streams.generator())
@@ -311,17 +316,20 @@ class Objective:
         if b < 1:
             raise ValueError(f"batch size must be >= 1, got {b}")
         out = np.empty((X.shape[0], self.dim))
-        rows = max(1, _CHUNK_SCALARS // (b * self.dim))
+        rows = max(1, _CHUNK_SCALARS // self._row_scalars(b, at_point))
         one = isinstance(source, np.random.Generator)
         for lo in range(0, X.shape[0], rows):
             gens = source if one else [s.generator() for s in source[lo:lo + rows]]
             out[lo:lo + rows] = self._minibatch_block(X[lo:lo + rows], b, gens, at_point)
         return out
 
+    def _row_scalars(self, b, at_point) -> int:     # what one row of a block holds
+        return b * self.dim
+
     def _minibatch_block(self, X, b, gens, at_point) -> np.ndarray:
         """One minibatch gradient per row of X: gens is one generator for all
-        rows in order or a list of one per row, drawn from as minibatch_grad
-        draws; at_point says every row is the same point."""
+        rows in order or a list of one per row; at_point says every row is
+        the same point, as in minibatch_grad_means."""
         raise NotImplementedError
 
 
@@ -341,18 +349,23 @@ class _AdditiveNoiseObjective(Objective):
     def noise_scale(self) -> float:
         return math.sqrt(self.variance / self.dim)
 
+    def _row_scalars(self, b, at_point):
+        return b * self.dim if at_point else self.dim
+
     def _minibatch_block(self, X, b, gens, at_point):
+        # means at a point average b real draws; a step draws the mean of b iid
+        # N(0, s^2) as one N(0, s^2 / b), exact in law and the same bits at b = 1
         G = self.grad_many(X)
         if self.variance == 0.0:
             return G
-        noise = np.empty((X.shape[0], b, self.dim))
+        noise = np.empty((X.shape[0], b if at_point else 1, self.dim))
         if isinstance(gens, list):
             for row, gen in zip(noise, gens):
                 gen.standard_normal(out=row)
         else:
             gens.standard_normal(out=noise)
         noise *= self.noise_scale
-        return G + np.add.reduce(noise, axis=1) / b     # noise.mean(axis=1), bit for bit
+        return G + np.add.reduce(noise, axis=1) / (b if at_point else math.sqrt(b))
 
 
 class NoisyQuadratic(_AdditiveNoiseObjective):

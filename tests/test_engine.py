@@ -1,8 +1,10 @@
 """The lockstep engine: every cell of a stack must reproduce, bit for bit,
-the run it would have made alone under the same stream; and the oracle's
-draws, made in bounded blocks, must be those of one unblocked draw."""
+the run it would have made alone under the same stream; the oracle's
+draws, made in bounded blocks, must be those of one unblocked draw; and a
+step's directly drawn minibatch mean must have the law of b averaged draws."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +39,24 @@ CONFIGS = [
 ]
 
 
-def reference_run(spec, config, x0, max_steps, rng, stop=None):
+def step_draw(spec, x, b, stream):
+    """A step's minibatch gradient at x written out under stream contract 2:
+    the additive kinds draw the mean of b deviations as dim normals scaled by
+    noise_scale / sqrt(b); finite-sum averages b per-sample gradients."""
+    gen = stream.generator()
+    if isinstance(spec, FiniteSumLeastSquares):
+        return spec.per_sample_grads(x)[gen.integers(0, spec.n, size=(1, b))].mean(axis=1)[0]
+    if spec.variance == 0.0:
+        return spec.grad(x)
+    return spec.grad(x) + gen.standard_normal(spec.dim) * spec.noise_scale / np.sqrt(b)
+
+
+def v1_draw(spec, x, b, stream):
+    """A step's minibatch under stream contract 1: the mean of b explicit draws."""
+    return spec.minibatch_grad(x, b, stream)
+
+
+def reference_run(spec, config, x0, max_steps, rng, stop=None, draw=step_draw):
     """The one-cell step loop written out: exact gradient, one minibatch from
     rng.child(t), one update, divergence check, then the stop rule."""
     state = OptimizerState.initial(x0)
@@ -47,7 +66,7 @@ def reference_run(spec, config, x0, max_steps, rng, stop=None):
     for t in range(max_steps):
         x_t = state.x
         g = spec.grad(x_t)
-        gb = spec.minibatch_grad(x_t, config.batch_size, rng.child(t))
+        gb = draw(spec, x_t, config.batch_size, rng.child(t))
         if config.algo == "sgd":
             sgd_step(state, gb, config.eta)
             d = gb
@@ -115,6 +134,8 @@ class TestParity:
             assert np.array_equal(g, spec.grad(x))
 
     def test_per_row_streams_equal_minibatch_grad(self, spec, config, monkeypatch):
+        """Each row is its stream's written-out step draw at any block size;
+        that is minibatch_grad's draw at b = 1, and for finite-sum at any b."""
         X = np.random.default_rng(5).standard_normal((9, spec.dim))
         streams = [RngStream(12, (r, 3)) for r in range(len(X))]
         for chunk_scalars in (problems._CHUNK_SCALARS, 2 * 4 * spec.dim):
@@ -122,12 +143,30 @@ class TestParity:
             for b in (1, 4, 33):
                 G = spec.minibatch_grad_ensemble(X, b, streams)
                 for x, s, g in zip(X, streams, G):
-                    assert np.array_equal(g, spec.minibatch_grad(x, b, s))
+                    assert np.array_equal(g, step_draw(spec, x, b, s))
+                    if b == 1 or isinstance(spec, FiniteSumLeastSquares):
+                        assert np.array_equal(g, spec.minibatch_grad(x, b, s))
+
+
+@pytest.mark.parametrize("config", [replace(c, batch_size=1) for c in CONFIGS],
+                         ids=lambda c: c.algo)
+@pytest.mark.parametrize("spec", objectives(), ids=lambda s: s.kind)
+def test_b1_runs_equal_the_v1_step_loop(spec, config):
+    """At b = 1 the directly drawn mean is the one draw stream contract 1
+    averaged, so every b = 1 run keeps its contract-1 bits."""
+    x0 = spec.default_start() * 0.5
+    trace = run(spec, config, x0=x0, max_steps=60, rng=RngStream(4))
+    ref = reference_run(spec, config, x0, 60, RngStream(4), draw=v1_draw)
+    assert trace.steps == ref["steps"]
+    for name in ("x_final", "minibatch_grad", "search_direction"):
+        assert np.array_equal(getattr(trace, name), ref[name]), name
 
 
 def unblocked_draws(spec, X, b, gen, at_point):
     """One minibatch gradient per row of X from a single draw of the whole
-    array; at_point: every row is X[0], as in minibatch_grad_means."""
+    array. at_point: every row is X[0] and averages b explicit draws, as in
+    minibatch_grad_means; otherwise a step's draw, as in
+    minibatch_grad_ensemble, where the additive kinds draw each mean directly."""
     if isinstance(spec, FiniteSumLeastSquares):
         idx = gen.integers(0, spec.n, size=(X.shape[0], b))
         if at_point:
@@ -138,6 +177,8 @@ def unblocked_draws(spec, X, b, gen, at_point):
     g = spec.grad(X[0]) if at_point else spec.grad_many(X)
     if spec.variance == 0.0:
         return g + np.zeros_like(X)
+    if not at_point:
+        return g + gen.standard_normal(X.shape) * spec.noise_scale / np.sqrt(b)
     return g + (gen.standard_normal((X.shape[0], b, spec.dim)) * spec.noise_scale).mean(axis=1)
 
 
@@ -152,33 +193,101 @@ class TestDrawBlocks:
     """Each public draw entry gives the bits of one unblocked draw, whatever
     number of rows a block holds (10 rows: blocks of 3 leave a remainder)."""
 
-    @pytest.fixture(autouse=True)
-    def block_rows(self, spec, b, rows, monkeypatch):
-        if rows is not None:
-            monkeypatch.setattr(problems, "_CHUNK_SCALARS", rows * b * spec.dim)
+    @pytest.fixture
+    def blocks(self, spec, b, rows, monkeypatch):
+        """Sets blocks of `rows` rows of the entry's draws (at_point for the
+        means, not for a step) and counts the blocks drawn."""
+        calls = []
+
+        def block_rows(at_point):
+            if rows is not None:
+                monkeypatch.setattr(problems, "_CHUNK_SCALARS",
+                                    rows * spec._row_scalars(b, at_point))
+            draw = spec._minibatch_block
+
+            def counted(*args):
+                calls.append(args[0].shape[0])
+                return draw(*args)
+            monkeypatch.setattr(spec, "_minibatch_block", counted)
+            return calls
+        return block_rows
 
     def points(self, spec):
         return np.random.default_rng(8).standard_normal((10, spec.dim))
 
-    def test_means_at_a_point(self, spec, b, rows):
+    def test_means_at_a_point(self, spec, b, rows, blocks):
+        calls = blocks(True)
         x = self.points(spec)[0]
         got = spec.minibatch_grad_means(x, b, 10, RngStream(3, (b,)))
         want = unblocked_draws(spec, np.tile(x, (10, 1)), b, RngStream(3, (b,)).generator(), True)
         assert np.array_equal(got, want)
+        assert len(calls) == (1 if rows is None else -(-10 // rows))
 
-    def test_ensemble_from_one_stream(self, spec, b, rows):
+    def test_ensemble_from_one_stream(self, spec, b, rows, blocks):
+        calls = blocks(False)
         X = self.points(spec)
         got = spec.minibatch_grad_ensemble(X, b, RngStream(4, (b,)))
         want = unblocked_draws(spec, X, b, RngStream(4, (b,)).generator(), False)
         assert np.array_equal(got, want)
+        assert len(calls) == (1 if rows is None else -(-10 // rows))
 
-    def test_ensemble_from_a_stream_per_row(self, spec, b, rows):
+    def test_ensemble_from_a_stream_per_row(self, spec, b, rows, blocks):
+        calls = blocks(False)
         X = self.points(spec)
         streams = [RngStream(5, (b, r)) for r in range(len(X))]
         got = spec.minibatch_grad_ensemble(X, b, streams)
-        want = [unblocked_draws(spec, X[r:r + 1], b, s.generator(), True)[0]
-                for r, s in enumerate(streams)]
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, [step_draw(spec, x, b, s) for x, s in zip(X, streams)])
+        assert len(calls) == (1 if rows is None else -(-10 // rows))
+
+
+LAW_BATCHES = (1, 8, 512)
+LAW_Z = 4.5     # per statistic, two-sided; 30 statistics make a check
+
+
+def deviation_law_holds(spec, x, n, rng, batches=LAW_BATCHES, z=LAW_Z) -> bool:
+    """Draw n step minibatches (one stream per row, as a stack steps) and n
+    minibatch_grad_means at x for each b; both sets of deviations from
+    grad f(x) must have every coordinate's mean within z standard errors of
+    0 and a mean squared norm within z standard errors of C^2 / b. The
+    errors are those of N(0, C^2 / (b dim)) coordinates: sqrt(C^2 / (b dim n))
+    for a mean, C^2 / b * sqrt(2 / (dim n)) for the squared norm's."""
+    g, c2 = spec.grad(x), spec.variance
+    for b in batches:
+        step = rng.child("step", b)
+        paths = (spec.minibatch_grad_ensemble(np.tile(x, (n, 1)), b,
+                                              [step.child(i) for i in range(n)]),
+                 spec.minibatch_grad_means(x, b, n, rng.child("means", b)))
+        for draws in paths:
+            d = draws - g
+            mean_z = d.mean(axis=0) / np.sqrt(c2 / (b * spec.dim * n))
+            sq_z = (np.sum(d * d, axis=1).mean() - c2 / b) / (c2 / b * np.sqrt(2 / (spec.dim * n)))
+            if np.abs(mean_z).max() > z or abs(sq_z) > z:
+                return False
+    return True
+
+
+LAW_X, LAW_DRAWS = np.array([1.0, -2.0, 0.5, 3.0]), 4000
+
+
+def test_step_means_have_the_law_of_averaged_draws():
+    spec = NoisyQuadratic(dim=4, variance=3.0)
+    assert deviation_law_holds(spec, LAW_X, LAW_DRAWS, RngStream(2026))
+
+
+@pytest.mark.parametrize("scale", [lambda b: b ** -0.25, lambda b: np.sqrt(1.1 / b)],
+                         ids=["variance-over-sqrt-b", "variance-10-percent-high"])
+def test_deviation_law_catches_a_planted_step_sampler(monkeypatch, scale):
+    """A step path whose mean has variance C^2 / sqrt(b), or 1.1 C^2 / b, fails."""
+    spec = NoisyQuadratic(dim=4, variance=3.0)
+    draw = spec._minibatch_block
+
+    def planted(X, b, gens, at_point):
+        if at_point:
+            return draw(X, b, gens, at_point)
+        z = np.stack([gen.standard_normal(spec.dim) for gen in gens])
+        return spec.grad_many(X) + z * spec.noise_scale * scale(b)
+    monkeypatch.setattr(spec, "_minibatch_block", planted)
+    assert not deviation_law_holds(spec, LAW_X, LAW_DRAWS, RngStream(2026))
 
 
 def test_minibatch_means_hold_one_block_of_draws_at_a_time():

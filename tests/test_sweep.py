@@ -109,7 +109,7 @@ class TestRunSweep:
         cross several seed blocks, so jobs=2 must give the jobs=1 rows."""
         spec = NoisyQuadratic(dim=2, variance=2.0)
         cfg = OptimizerConfig(algo="sgd", eta=0.05, batch_size=1)
-        kw = dict(batch_grid=[2, 4, 8, 16], seeds=[0, 3, 7], stop=StopRule(epsilon=0.2),
+        kw = dict(batch_grid=[2, 4, 8, 16], seeds=[0, 3, 7], stop=StopRule(epsilon=0.17),
                   cap=3000, x0=np.array([2.0, 1.0]), master_seed=13)
         serial = run_sweep(spec, cfg, jobs=1, **kw)
         assert min(r.steps_T for r in serial.rows) > 2 * _BLOCK
