@@ -359,12 +359,11 @@ def run_verify_suite(settings: Optional[VerifySettings] = None) -> list:
                                "worst gap minus allowance over 5 points at delta=0.5"))
 
     # analytic curve shape, minimizer placement, lower bound, round trip
-    shape_ok, curve_notes = _curve_shape_checks(rng.child("curves"))
-    results.append(CheckResult("steps-curve-shape", 0.0 if shape_ok else 1.0, 0.0,
-                               shape_ok, True, curve_notes))
-    place_ok, place_notes = _minimizer_placement_checks(rng.child("argmin"))
-    results.append(CheckResult("sfo-curve-minimizer", 0.0 if place_ok else 1.0, 0.0,
-                               place_ok, True, place_notes))
+    shape_ok, place_ok = _curve_checks(rng.child("curves"))
+    results.append(CheckResult("steps-curve-shape", 0.0 if shape_ok else 1.0, 0.0, shape_ok, True,
+                               "first differences negative, slopes non-decreasing, 50 random curves"))
+    results.append(CheckResult("sfo-curve-minimizer", 0.0 if place_ok else 1.0, 0.0, place_ok, True,
+                               "grid argmin within one cell of 2Y/(eps^2 - Z), SFO convex, 50 random curves"))
 
     lb_ok = True
     for eta in (0.01, 0.1, 0.5):
@@ -414,9 +413,11 @@ def grid_convex(grid: np.ndarray, values: np.ndarray, rel_tol: float = 1e-9) -> 
     return bool(np.all(np.diff(slopes) >= -rel_tol * np.maximum(scale, 1e-300)))
 
 
-def _curve_shape_checks(rng: RngStream) -> tuple[bool, str]:
+def _curve_checks(rng: RngStream) -> tuple[bool, bool]:
+    """One pass over 50 random curves: (T falls and is convex past the pole,
+    SFO is convex with its grid argmin within one cell of b*)."""
     gen = rng.generator()
-    ok = True
+    shape_ok = place_ok = True
     for _ in range(50):
         y = float(gen.uniform(0.5, 200.0))
         z = float(gen.uniform(0.0, 0.5))
@@ -426,24 +427,11 @@ def _curve_shape_checks(rng: RngStream) -> tuple[bool, str]:
         pole = params.pole()
         bs = np.geomspace(pole * 1.05, pole * 200.0, 24)
         ts = np.array([_sweep.analytic_T(params, b) for b in bs])
-        ok &= grid_monotone_decreasing(ts) and grid_convex(bs, ts)
-    return ok, "first differences negative, slopes non-decreasing, 50 random curves"
-
-
-def _minimizer_placement_checks(rng: RngStream) -> tuple[bool, str]:
-    gen = rng.generator()
-    ok = True
-    for _ in range(50):
-        y = float(gen.uniform(0.5, 200.0))
-        z = float(gen.uniform(0.0, 0.5))
-        eps_sq = z + float(gen.uniform(0.05, 2.0))
-        params = _sweep.AnalyticCurveParams(X=7.0, Y=y, Z=z, epsilon_sq=eps_sq)
+        shape_ok &= grid_monotone_decreasing(ts) and grid_convex(bs, ts)
         b_star = _sweep.analytic_critical_batch(params)
-        grid = np.geomspace(params.pole() * 1.02, b_star * 64.0, 40)
+        grid = np.geomspace(pole * 1.02, b_star * 64.0, 40)
         sfo = np.array([_sweep.analytic_sfo(params, b) for b in grid])
         idx = int(np.argmin(sfo))
-        lo = grid[max(0, idx - 1)]
-        hi = grid[min(len(grid) - 1, idx + 1)]
-        ok &= bool(lo <= b_star <= hi)
-        ok &= grid_convex(grid, sfo)
-    return ok, "grid argmin within one cell of 2Y/(eps^2 - Z), SFO convex, 50 random curves"
+        place_ok &= bool(grid[max(0, idx - 1)] <= b_star <= grid[min(len(grid) - 1, idx + 1)])
+        place_ok &= grid_convex(grid, sfo)
+    return shape_ok, place_ok

@@ -69,7 +69,7 @@ def _resolved(cfg: dict, seed: int, **blocks) -> dict:
 
 def _check_dims(vectors, dim: int, json_path: str) -> None:
     for v in vectors:
-        if len(v) != dim:
+        if v is not None and len(v) != dim:
             raise ConfigError(f"{len(v)} coordinates do not match the problem's dim {dim}",
                               json_path)
 
@@ -93,6 +93,8 @@ def cmd_run(args) -> int:
     block.setdefault("max_steps", 1000)
     block.setdefault("record_x", True)
     seed = resolve_seed(cfg)
+    _check_dims([block.get("x0")], spec.dim, "$.run.x0")
+    _check_dims([block.get("reference_point")], spec.dim, "$.run.reference_point")
 
     stop = None
     if "epsilon" in block:
@@ -154,15 +156,18 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs an epsilon (flag or config)", "$.sweep.epsilon")
     seed = resolve_seed(cfg)
     resolved = _resolved(cfg, seed, sweep=block)
-    if block["batch_grid"] != sorted(block["batch_grid"]):
-        raise ConfigError(f"batch sizes must be ascending, got {block['batch_grid']}", grid_source)
+    if block["batch_grid"] != sorted(set(block["batch_grid"])):
+        raise ConfigError(f"batch sizes must be strictly ascending, got {block['batch_grid']}",
+                          grid_source)
 
     spec = build_objective(resolved)
     opt = build_optimizer(resolved)
+    _check_dims([block.get("x0")], spec.dim, "$.sweep.x0")
+    _check_dims([block.get("reference_point")], spec.dim, "$.sweep.reference_point")
     stop = _stop_rule_from(block, spec)
     summary = sweep_mod.run_sweep(
         spec, opt, block["batch_grid"], block["seeds"], stop, block["max_steps"],
-        x0=block.get("x0"), master_seed=seed, jobs=args.jobs,
+        x0=block.get("x0"), master_seed=seed,
     )
 
     out = _out_dir(args, cfg)
@@ -244,6 +249,7 @@ def cmd_noise(args) -> int:
     if block["steps"] <= burn_in:
         raise ConfigError(f"{block['steps']} steps leave nothing after a burn-in of {burn_in}",
                           "$.noise.steps")
+    _check_dims([block.get("x0")], spec.dim, "$.noise.x0")
 
     trace = run_optimizer(
         spec, opt, x0=block.get("x0"), max_steps=block["steps"],
@@ -337,7 +343,7 @@ def cmd_sharpness(args) -> int:
 
     point = block.get("point", [float(v) for v in spec.default_start()])
     _check_dims([point], spec.dim, "$.sharpness.point")
-    _check_dims([block["c"]] if "c" in block else [], spec.dim, "$.sharpness.c")
+    _check_dims([block.get("c")], spec.dim, "$.sharpness.c")
     try:
         spec_sharp = smoothing.SharpnessSpec(
             rho=block["rho"], c=block.get("c"), p=block["p"],
@@ -414,6 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "and audit the analytic bounds on synthetic objectives.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    jobs_help = "accepted and ignored (kept for scripts); cells run in one ordered loop"
 
     def common(p, config=True):
         if config:
@@ -430,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float)
     p.add_argument("--seeds", type=int)
     p.add_argument("--max-steps", type=int)
-    p.add_argument("--jobs", type=_positive_int, default=1, help="threads for the cells")
+    p.add_argument("--jobs", type=_positive_int, default=1, help=jobs_help)
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("noise", help="per-step noise norms and summary")
@@ -455,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the identity/bound suite")
     common(p)
-    p.add_argument("--jobs", type=_positive_int, default=1, help="no effect; kept for scripts")
+    p.add_argument("--jobs", type=_positive_int, default=1, help=jobs_help)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("table1", help="print the built-in variance back-estimation fixture")

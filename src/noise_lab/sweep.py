@@ -22,7 +22,6 @@ C^2 < b* eps^2 / eta.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -146,39 +145,29 @@ def steps_to_epsilon(spec: Objective, config: OptimizerConfig, stop: StopRule,
 
 def run_sweep(spec: Objective, config_template: OptimizerConfig,
               batch_grid: Sequence[int], seeds, stop: StopRule, cap: int,
-              x0=None, master_seed: int = 0, jobs: int = 1) -> SweepSummary:
+              x0=None, master_seed: int = 0) -> SweepSummary:
     """Per-(b, seed) step counts and SFO costs, aggregated per batch size.
 
-    `seeds` is a count (seed ids 0..seeds-1) or an explicit id list. Each
-    cell draws from RngStream(master_seed).child(b, seed), so results do
-    not depend on execution order or on `jobs`.
+    `seeds` is a count (seed ids 0..seeds-1) or an explicit id list. The
+    cells run one after another in (b, seed) order, and each draws only
+    from RngStream(master_seed).child(b, seed), so a cell's row does not
+    depend on which other cells the sweep runs.
     """
     grid = [int(b) for b in batch_grid]
     if not grid:
         raise ValueError("batch_grid must be non-empty")
     if any(b < 1 for b in grid):
         raise ValueError("batch sizes must be >= 1")
-    if sorted(grid) != grid:
-        raise ValueError("batch_grid must be ascending")
-    seed_ids = list(range(seeds)) if isinstance(seeds, int) else [int(s) for s in seeds]
+    if sorted(set(grid)) != grid:
+        raise ValueError("batch_grid must be strictly ascending")
+    seed_ids = list(range(seeds)) if isinstance(seeds, int) else sorted(int(s) for s in seeds)
     if not seed_ids:
         raise ValueError("need at least one seed")
 
     master = RngStream(master_seed)
-    cells = [(b, s) for b in grid for s in seed_ids]
-
-    def cell(args):
-        b, s = args
-        config = replace(config_template, batch_size=b)
-        return steps_to_epsilon(spec, config, stop, cap, master.child(b, s),
-                                x0=x0, seed=s)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(cell, cells))
-    else:
-        rows = [cell(c) for c in cells]
-    rows.sort(key=lambda r: (r.b, r.seed))
+    rows = [steps_to_epsilon(spec, replace(config_template, batch_size=b), stop, cap,
+                             master.child(b, s), x0=x0, seed=s)
+            for b in grid for s in seed_ids]
 
     per_batch = []
     for b in grid:

@@ -133,6 +133,7 @@ BAD_INPUTS = {
     "missing-config-file": ("run", [], None, None, "--config"),
     "empty-batch-size": ("sweep", ["--batch-grid", "8,,16"], {}, None, "--batch-grid"),
     "descending-batch-grid": ("sweep", ["--batch-grid", "16,8"], {}, None, "--batch-grid"),
+    "repeated-batch-size": ("sweep", ["--batch-grid", "8,8,16"], {}, None, "--batch-grid"),
     "descending-config-grid": ("sweep", [],
                                {"sweep": dict(SWEEP_CFG["sweep"], batch_grid=[16, 8])},
                                None, "$.sweep.batch_grid"),
@@ -160,6 +161,20 @@ BAD_INPUTS = {
                                   "$.sharpness.point"),
     "sharpness-scaling-wrong-length": ("sharpness", [], {"sharpness": {"c": [1.0, 2.0, 3.0]}},
                                        None, "$.sharpness.c"),
+    "run-x0-wrong-dim": ("run", [], {"run": {"x0": [1.0, 2.0, 3.0]}}, None, "$.run.x0"),
+    "run-reference-point-wrong-dim": ("run", [], {"run": {"reference_point": [1.0]}}, None,
+                                      "$.run.reference_point"),
+    "sweep-x0-wrong-dim": ("sweep", [], {"sweep": dict(SWEEP_CFG["sweep"], x0=[1.0])}, None,
+                           "$.sweep.x0"),
+    # the default stop rule never reads it, but critical.json's X would
+    "sweep-reference-point-wrong-dim": (
+        "sweep", [], {"sweep": dict(SWEEP_CFG["sweep"], reference_point=[5.0])}, None,
+        "$.sweep.reference_point"),
+    "sweep-inner-product-reference-point-wrong-dim": (
+        "sweep", [], {"sweep": dict(SWEEP_CFG["sweep"], stop_kind="inner-product",
+                                    reference_point=[5.0, 5.0, 5.0])}, None,
+        "$.sweep.reference_point"),
+    "noise-x0-wrong-dim": ("noise", [], {"noise": {"x0": [1.0, 2.0, 3.0]}}, None, "$.noise.x0"),
     "negative-env-seed-run": ("run", [], {}, "-1", "$.master_seed"),
     "negative-env-seed-sweep": ("sweep", [], {}, "-1", "$.master_seed"),
     "negative-env-seed-verify": ("verify", [], {}, "-1", "$.master_seed"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from noise_lab.optimizers import OptimizerConfig
-from noise_lab.problems import _BLOCK, NoisyQuadratic, RngStream
+from noise_lab.problems import NoisyQuadratic, RngStream
 from noise_lab.sweep import (
     AnalyticCurveParams,
     BatchStats,
@@ -95,25 +95,22 @@ class TestRunSweep:
         for row in summary.rows:
             assert row.sfo == row.steps_T * row.b
 
-    def test_parallel_equals_serial(self):
+    def test_rows_in_batch_seed_order_each_from_its_own_stream(self):
+        """Cells share nothing but the master seed: every row equals its
+        cell run alone on master.child(b, seed), whatever order the seeds
+        were given in."""
         spec = NoisyQuadratic(dim=2, variance=2.0)
         cfg = OptimizerConfig(algo="sgd", eta=0.1, batch_size=1)
-        kw = dict(batch_grid=[4, 8, 16], seeds=3, stop=StopRule(epsilon=0.4),
-                  cap=3000, x0=np.array([2.0, 1.0]), master_seed=5)
-        serial = run_sweep(spec, cfg, jobs=1, **kw)
-        parallel = run_sweep(spec, cfg, jobs=8, **kw)
-        assert serial.rows == parallel.rows
-
-    def test_two_threads_equal_one(self):
-        """Cells share nothing but the master stream, and each cell's steps
-        cross several seed blocks, so jobs=2 must give the jobs=1 rows."""
-        spec = NoisyQuadratic(dim=2, variance=2.0)
-        cfg = OptimizerConfig(algo="sgd", eta=0.05, batch_size=1)
-        kw = dict(batch_grid=[2, 4, 8, 16], seeds=[0, 3, 7], stop=StopRule(epsilon=0.17),
-                  cap=3000, x0=np.array([2.0, 1.0]), master_seed=13)
-        serial = run_sweep(spec, cfg, jobs=1, **kw)
-        assert min(r.steps_T for r in serial.rows) > 2 * _BLOCK
-        assert run_sweep(spec, cfg, jobs=2, **kw).rows == serial.rows
+        stop, x0 = StopRule(epsilon=0.4), np.array([2.0, 1.0])
+        summary = run_sweep(spec, cfg, [4, 8, 16], seeds=[7, 0, 3], stop=stop, cap=3000,
+                            x0=x0, master_seed=5)
+        assert [(r.b, r.seed) for r in summary.rows] == [
+            (b, s) for b in (4, 8, 16) for s in (0, 3, 7)]
+        for row in summary.rows:
+            alone = steps_to_epsilon(spec, OptimizerConfig(algo="sgd", eta=0.1, batch_size=row.b),
+                                     stop, 3000, RngStream(5).child(row.b, row.seed),
+                                     x0=x0, seed=row.seed)
+            assert row == alone
 
     def test_unconverged_batch_flagged_and_excluded(self):
         spec = NoisyQuadratic(dim=2, variance=200.0)
@@ -134,6 +131,8 @@ class TestRunSweep:
             run_sweep(spec, cfg, [], seeds=1, stop=StopRule(epsilon=0.5), cap=10)
         with pytest.raises(ValueError):
             run_sweep(spec, cfg, [8, 4], seeds=1, stop=StopRule(epsilon=0.5), cap=10)
+        with pytest.raises(ValueError):
+            run_sweep(spec, cfg, [4, 8, 8], seeds=1, stop=StopRule(epsilon=0.5), cap=10)
 
 
 class TestEmpiricalCriticalBatch:
