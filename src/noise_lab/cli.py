@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis, noise as noise_mod, smoothing, sweep as sweep_mod
 from .config import (SEED_ENV_VAR, ConfigError, build_objective, build_optimizer,
-                     load_config, resolve_seed, validate_config)
+                     load_config, read_json, resolve_seed, validate_config)
 from .optimizers import TraceOptions, run as run_optimizer
 from .problems import RNG_CONTRACT, RngStream
 from .reporting import dump_json, emit_csv, emit_jsonl
@@ -65,6 +65,11 @@ def _resolved(cfg: dict, seed: int, **blocks) -> dict:
     for name, block in blocks.items():
         resolved[name] = block
     return validate_config(resolved)
+
+
+def _override(block: dict, args, *names) -> None:
+    """Flags given on the command line replace their config-block keys."""
+    block.update((n, getattr(args, n)) for n in names if getattr(args, n) is not None)
 
 
 def _check_dims(vectors, dim: int, json_path: str) -> None:
@@ -143,12 +148,7 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"expected comma separated integers, got {args.batch_grid!r}",
                               grid_source) from exc
-    if args.epsilon is not None:
-        block["epsilon"] = args.epsilon
-    if args.seeds is not None:
-        block["seeds"] = args.seeds
-    if args.max_steps is not None:
-        block["max_steps"] = args.max_steps
+    _override(block, args, "epsilon", "seeds", "max_steps")
     block.setdefault("batch_grid", list(DEFAULT_BATCH_GRID))
     block.setdefault("seeds", 3)
     block.setdefault("max_steps", 30_000)
@@ -274,15 +274,9 @@ def cmd_smooth(args) -> int:
     cfg = _require_config(args)
     spec = build_objective(cfg)
     block = dict(cfg.get("smooth", {}))
-    if args.delta is not None:
-        block["delta"] = args.delta
-    if args.dist:
-        block["dist"] = args.dist
-    if args.samples is not None:
-        block["samples"] = args.samples
+    _override(block, args, "delta", "dist", "samples")
     if args.points_file:
-        import json
-        block["points"] = json.loads(Path(args.points_file).read_text())
+        block["points"] = read_json(args.points_file, "--points-file")
     block.setdefault("delta", 0.1)
     block.setdefault("dist", "unit-sphere-uniform")
     block.setdefault("samples", 100_000)
@@ -326,14 +320,9 @@ def cmd_sharpness(args) -> int:
     cfg = _require_config(args)
     spec = build_objective(cfg)
     block = dict(cfg.get("sharpness", {}))
-    if args.rho is not None:
-        block["rho"] = args.rho
+    _override(block, args, "rho", "iters", "method")
     if args.p:
         block["p"] = 2 if args.p == "2" else "inf"
-    if args.iters is not None:
-        block["iters"] = args.iters
-    if args.method:
-        block["method"] = args.method
     block.setdefault("rho", 0.5)
     block.setdefault("p", "inf")
     block.setdefault("iters", 50)

@@ -136,24 +136,41 @@ class ConfigError(ValueError):
         self.json_path = json_path
 
 
+def _integral(schema: dict, value):
+    """value with the floats at schema's "integer" nodes as ints: JSON Schema
+    counts 2.0 as an integer, so validation lets them through."""
+    if isinstance(value, float) and schema.get("type") == "integer":
+        return int(value)
+    if isinstance(value, dict) and "properties" in schema:
+        return {k: _integral(schema["properties"].get(k, {}), v) for k, v in value.items()}
+    if isinstance(value, list) and "items" in schema:
+        return [_integral(schema["items"], v) for v in value]
+    return value
+
+
 def validate_config(cfg: dict) -> dict:
-    """Schema-validate a raw config dict; raises ConfigError naming the
-    failing JSON path."""
+    """Schema-validate a raw config dict, returned with _integral applied;
+    raises ConfigError naming the failing JSON path."""
     errors = sorted(_validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
         raise ConfigError(err.message, err.json_path)
-    return cfg
+    return _integral(SCHEMA, cfg)
+
+
+def read_json(path, json_path: str):
+    """The JSON document in a file; ConfigError naming json_path (the flag
+    that gave the file) if it cannot be read, is not UTF-8, or is not JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {str(path)!r}: {exc.strerror}", json_path) from exc
+    except ValueError as exc:
+        raise ConfigError(f"not valid JSON: {exc}", json_path) from exc
 
 
 def load_config(path) -> dict:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"not valid JSON: {exc}") from exc
-    except OSError as exc:
-        raise ConfigError(f"cannot read {str(path)!r}: {exc.strerror}", "--config") from exc
+    raw = read_json(path, "--config")
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a JSON object")
     return validate_config(raw)

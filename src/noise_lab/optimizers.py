@@ -84,7 +84,7 @@ class OptimizerState:
 
 def _check_grad(g) -> np.ndarray:
     g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise FloatingPointError("non-finite gradient passed to optimizer step")
     return g
 
@@ -246,40 +246,39 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
         if ref is not None:
             cols["dist_to_ref"] = np.empty((cells, max_steps))
 
+    # per-step constants, looked up once per call
+    step, step_args, momentum = {                  # momentum: the update follows the buffer
+        "sgd": (sgd_step, (config.eta,), False),
+        "nshb": (nshb_step, (config.eta, config.beta), True),
+        "shb": (shb_step, (config.gamma, config.beta_bar), True)}[config.algo]
+    b, grad_many, draw = config.batch_size, spec.grad_many, spec.minibatch_grad_ensemble
+    record, record_x, record_f = opts.record, opts.record_x, opts.record_f
     live = np.arange(cells)               # cell id of each row of the stacked state
+    live_streams = list(streams)
     steps = np.full(cells, max_steps)
     exit_reason = np.full(cells, "step-cap", dtype=object)
     x_final = np.empty((cells, spec.dim))
     for t in range(max_steps):
         x_t = state.x
-        g = spec.grad_many(x_t)
-        substreams = [streams[c].child(t) for c in live]
-        gb = spec.minibatch_grad_ensemble(x_t, config.batch_size, substreams)
+        g = grad_many(x_t)
+        gb = draw(x_t, b, [s.child(t) for s in live_streams])
+        step(state, gb, *step_args)
+        direction = state.momentum if momentum else gb
 
-        if config.algo == "sgd":
-            sgd_step(state, gb, config.eta)
-            direction = gb
-        elif config.algo == "nshb":
-            nshb_step(state, gb, config.eta, config.beta)
-            direction = state.momentum
-        else:
-            shb_step(state, gb, config.gamma, config.beta_bar)
-            direction = state.momentum
-
-        if opts.record:
+        if record:
             rows = slice(None) if live.size == cells else live    # a slice writes faster
             cols["grad"][rows, t] = g
             cols["search_direction"][rows, t] = direction
             cols["minibatch_grad"][rows, t] = gb
-            if opts.record_x:
+            if record_x:
                 cols["x_snapshot"][rows, t] = x_t
-            if opts.record_f:
+            if record_f:
                 cols["f_value"][rows, t] = [spec.value(row) for row in x_t]
             if ref is not None:
                 cols["dist_to_ref"][rows, t] = [np.linalg.norm(row - ref) for row in x_t]
 
         # a NaN or infinite coordinate fails the comparison too
-        diverged = ~(np.abs(state.x).max(axis=1) <= DIVERGENCE_LIMIT)
+        diverged = ~(np.maximum.reduce(np.abs(state.x), axis=1) <= DIVERGENCE_LIMIT)
         done = diverged.tolist() if accs is None else [
             d or acc.observe(t, g[i], gb[i], x_t[i])
             for i, (d, acc) in enumerate(zip(diverged.tolist(), accs))]
@@ -290,6 +289,7 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
             x_final[live[done]] = state.x[done]
             keep = ~done
             live, state.x, state.momentum = live[keep], state.x[keep], state.momentum[keep]
+            live_streams = [s for s, k in zip(live_streams, keep) if k]
             if accs is not None:
                 accs = [a for a, k in zip(accs, keep) if k]
             if not live.size:

@@ -243,11 +243,6 @@ class Objective:
     def grad(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def value_many(self, X: np.ndarray) -> np.ndarray:
-        """Values at each row of X, shape (m, dim) -> (m,)."""
-        X = np.asarray(X, dtype=float)
-        return np.array([self.value(row) for row in X])
-
     def grad_many(self, X: np.ndarray) -> np.ndarray:
         """Gradients at each row of X, shape (m, dim); row r equals grad(X[r])
         bit for bit, which the lockstep engine relies on."""
@@ -315,9 +310,12 @@ class Objective:
         sequence across calls, no block size changes a bit of the result."""
         if b < 1:
             raise ValueError(f"batch size must be >= 1, got {b}")
-        out = np.empty((X.shape[0], self.dim))
         rows = max(1, _CHUNK_SCALARS // self._row_scalars(b, at_point))
         one = isinstance(source, np.random.Generator)
+        if 0 < X.shape[0] <= rows:      # one block, the common case: no copy into out
+            return self._minibatch_block(X, b, source if one else [s.generator() for s in source],
+                                         at_point)
+        out = np.empty((X.shape[0], self.dim))
         for lo in range(0, X.shape[0], rows):
             gens = source if one else [s.generator() for s in source[lo:lo + rows]]
             out[lo:lo + rows] = self._minibatch_block(X[lo:lo + rows], b, gens, at_point)
@@ -345,7 +343,7 @@ class _AdditiveNoiseObjective(Objective):
     """Stochastic gradient = exact gradient + isotropic Gaussian noise with
     total variance C^2 (per-coordinate variance C^2 / dim)."""
 
-    @property
+    @functools.cached_property
     def noise_scale(self) -> float:
         return math.sqrt(self.variance / self.dim)
 
@@ -358,14 +356,14 @@ class _AdditiveNoiseObjective(Objective):
         G = self.grad_many(X)
         if self.variance == 0.0:
             return G
-        noise = np.empty((X.shape[0], b if at_point else 1, self.dim))
+        noise = np.empty((X.shape[0], b, self.dim) if at_point else G.shape)
         if isinstance(gens, list):
-            for row, gen in zip(noise, gens):
-                gen.standard_normal(out=row)
+            for r, gen in enumerate(gens):      # indexing beats iterating over noise's rows
+                gen.standard_normal(out=noise[r])
         else:
             gens.standard_normal(out=noise)
         noise *= self.noise_scale
-        return G + np.add.reduce(noise, axis=1) / (b if at_point else math.sqrt(b))
+        return G + (np.add.reduce(noise, axis=1) / b if at_point else noise / math.sqrt(b))
 
 
 class NoisyQuadratic(_AdditiveNoiseObjective):

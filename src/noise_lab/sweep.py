@@ -46,7 +46,7 @@ class _CumulativeNormStop:
 
     def observe(self, t, grad, minibatch_grad, x) -> bool:
         g = minibatch_grad if self.use_minibatch else grad
-        self.total += float(np.linalg.norm(g))
+        self.total += math.sqrt(g.dot(g))      # np.linalg.norm(g) of a real vector, bit for bit
         self.count += 1
         return self.total / self.count < self.epsilon
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from noise_lab import analysis
 from noise_lab.analysis import (
     VerifySettings,
     convergence_bound_report,
@@ -115,6 +116,33 @@ class TestWeightedNormIdentity:
             out = weighted_norm_identity(x, y, a)
             scale = max(np.dot(x, x), np.dot(y, y), 1e-300)
             assert out["abs_diff"] <= 1e-12 * scale
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 17])
+    def test_stacked_rows_equal_per_row_calls(self, dim):
+        gen = np.random.default_rng(dim)
+        x = gen.standard_normal((300, dim)) * 10.0 ** gen.integers(-3, 4, size=(300, 1))
+        y = gen.standard_normal((300, dim))
+        a = gen.uniform(-2.0, 3.0, size=300)
+        stacked = weighted_norm_identity(x, y, a)
+        for key in ("lhs", "rhs", "abs_diff"):
+            assert stacked[key].shape == (300,)
+            assert stacked[key].tolist() == [weighted_norm_identity(x[i], y[i], a[i])[key]
+                                             for i in range(300)]
+
+    def test_check_fails_an_identity_off_by_1e_10(self, monkeypatch):
+        rng = RngStream(2024).child("identity")
+        assert analysis._identity_check(rng, 10_000).holds
+        exact = analysis.weighted_norm_identity
+
+        def planted(x, y, alpha):
+            out = exact(x, y, alpha)
+            rhs = out["rhs"] * (1.0 + 1e-10)
+            return dict(out, rhs=rhs, abs_diff=abs(out["lhs"] - rhs))
+
+        monkeypatch.setattr(analysis, "weighted_norm_identity", planted)
+        check = analysis._identity_check(rng, 10_000)
+        assert not check.holds and check.lhs > 1e-11
 
 
 class TestStationarityCheck:

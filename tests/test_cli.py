@@ -107,6 +107,12 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 2
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"master_seed": 1, "output_dir": "d\xe9j\xe0"}'.encode("latin-1"))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "--config" in capsys.readouterr().err
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     @pytest.mark.parametrize("command", ["sweep", "verify"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, command, jobs):
@@ -175,6 +181,10 @@ BAD_INPUTS = {
                                     reference_point=[5.0, 5.0, 5.0])}, None,
         "$.sweep.reference_point"),
     "noise-x0-wrong-dim": ("noise", [], {"noise": {"x0": [1.0, 2.0, 3.0]}}, None, "$.noise.x0"),
+    "smooth-points-file-missing": ("smooth", ["--points-file", str(DATA / "no-such-points.json")],
+                                   {}, None, "--points-file"),
+    "smooth-points-file-not-json": ("smooth", ["--points-file", str(DATA / "table1_expected.txt")],
+                                    {}, None, "--points-file"),
     "negative-env-seed-run": ("run", [], {}, "-1", "$.master_seed"),
     "negative-env-seed-sweep": ("sweep", [], {}, "-1", "$.master_seed"),
     "negative-env-seed-verify": ("verify", [], {}, "-1", "$.master_seed"),
@@ -197,7 +207,52 @@ def test_bad_input_exits_2_naming_its_path(tmp_path, capsys, monkeypatch, case):
     assert not out.exists()
 
 
+# (subcommand, top-level overrides of SWEEP_CFG or SMALL_VERIFY, block, key, integral
+# value): JSON Schema counts 2.0 as an integer, so the float form passes validation
+INTEGRAL_FLOATS = {
+    "sweep-seeds": ("sweep", {}, "sweep", "seeds", 2),
+    "sweep-max-steps": ("sweep", {}, "sweep", "max_steps", 500),
+    "run-max-steps": ("run", {"run": {}}, "run", "max_steps", 50),
+    "noise-steps": ("noise", {"noise": {}}, "noise", "steps", 400),
+    "noise-burn-in": ("noise", {"noise": {"steps": 400}}, "noise", "burn_in", 100),
+    "smooth-samples": ("smooth", {"smooth": {"box_radius": 3.0}}, "smooth", "samples", 1000),
+    "sharpness-iters": ("sharpness", {"sharpness": {}}, "sharpness", "iters", 10),
+    "verify-ensemble-seeds": ("verify", {}, "verify", "ensemble_seeds", 30),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGRAL_FLOATS))
+def test_integral_float_runs_as_its_int(tmp_path, capsys, case):
+    command, overrides, block, key, value = INTEGRAL_FLOATS[case]
+    base = {**(SMALL_VERIFY if command == "verify" else SWEEP_CFG), **overrides}
+    statuses, outs = [], []
+    for form in (value, float(value)):
+        cfg = json.loads(json.dumps(base))
+        cfg[block][key] = form
+        out = tmp_path / type(form).__name__
+        statuses.append(exit_status([command, "--config", write_cfg(tmp_path, cfg),
+                                     "--out", str(out)]))
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert statuses[1] == statuses[0] == 0
+    assert outs[1] == outs[0]
+
+
 class TestConfigSchema:
+    def test_integral_floats_become_ints(self):
+        cfg = json.loads(json.dumps(SWEEP_CFG))
+        cfg["master_seed"] = 11.0
+        cfg["problem"]["dim"] = 2.0
+        cfg["optimizer"]["batch_size"] = 8.0
+        cfg["sweep"]["batch_grid"] = [4.0, 8, 16.0]
+        out = validate_config(cfg)
+        assert out == SWEEP_CFG | {"optimizer": dict(SWEEP_CFG["optimizer"], batch_size=8)}
+        ints = [out["master_seed"], out["problem"]["dim"], out["optimizer"]["batch_size"],
+                *out["sweep"]["batch_grid"]]
+        assert all(type(v) is int for v in ints)
+        assert type(out["problem"]["variance"]) is float     # number fields keep their type
+        assert cfg["master_seed"] == 11.0 and type(cfg["master_seed"]) is float
+
+
     def test_valid_config_passes(self):
         validate_config(SWEEP_CFG)
 

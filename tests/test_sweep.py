@@ -42,6 +42,19 @@ class TestStopRule:
         assert not acc.observe(0, g, None, x)
         assert acc.observe(1, np.array([0.2, 0.0]), None, x)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 16, 17, 33])
+    def test_cumulative_total_is_the_sum_of_numpy_norms(self, dim):
+        """The rule adds sqrt(g.g); np.linalg.norm computes the same for a
+        real vector, so the totals agree bit for bit, BLAS tails included."""
+        gen = np.random.default_rng(dim)
+        grads = gen.standard_normal((500, dim)) * 10.0 ** gen.integers(-3, 4, size=(500, 1))
+        acc = StopRule(epsilon=1e-300).start()
+        total = 0.0
+        for t, g in enumerate(grads):       # rows of a stack, as simulate passes them
+            acc.observe(t, g, None, None)
+            total += float(np.linalg.norm(g))
+            assert acc.total == total
+
     def test_validation(self):
         with pytest.raises(ValueError):
             StopRule(epsilon=0.0)
