@@ -9,6 +9,7 @@ override their config-block counterparts. Exit status: 0 on success,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -17,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, noise as noise_mod, smoothing, sweep as sweep_mod
-from .config import (SEED_ENV_VAR, ConfigError, build_objective, build_optimizer,
-                     load_config, read_json, resolve_seed, validate_config)
+from .config import (POINT, SCHEMA, SEED_ENV_VAR, ConfigError, build_objective,
+                     build_optimizer, load_config, read_json, resolve_seed, validate_config)
 from .optimizers import TraceOptions, run as run_optimizer
 from .problems import RNG_CONTRACT, RngStream
 from .reporting import dump_json, emit_csv, emit_jsonl
@@ -53,30 +54,39 @@ def fixture_table_text() -> str:
 
 
 def _out_dir(args, cfg) -> Path:
-    out = args.out or cfg.get("output_dir") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    """The output directory, checked before anything runs; the emitters make
+    it when they write the first artifact."""
+    path = Path(args.out or cfg.get("output_dir") or ".")
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{str(existing)!r} exists and is not a directory",
+                          "--out" if args.out else "$.output_dir")
     return path
 
 
 def _resolved(cfg: dict, seed: int, **blocks) -> dict:
-    resolved = {k: v for k, v in cfg.items() if k != "output_dir"}
-    resolved["master_seed"] = seed
-    for name, block in blocks.items():
-        resolved[name] = block
-    return validate_config(resolved)
+    rest = {k: v for k, v in cfg.items() if k != "output_dir"}
+    return validate_config({**rest, "master_seed": seed, **blocks})
 
 
-def _override(block: dict, args, *names) -> None:
-    """Flags given on the command line replace their config-block keys."""
-    block.update((n, getattr(args, n)) for n in names if getattr(args, n) is not None)
+def _block(cfg: dict, name: str, args, flags=(), **defaults) -> dict:
+    """A subcommand's config block over its defaults, with the flags given on top."""
+    block = {**defaults, **cfg.get(name, {})}
+    block.update((f, getattr(args, f)) for f in flags if getattr(args, f) is not None)
+    return block
 
 
-def _check_dims(vectors, dim: int, json_path: str) -> None:
-    for v in vectors:
-        if v is not None and len(v) != dim:
-            raise ConfigError(f"{len(v)} coordinates do not match the problem's dim {dim}",
-                              json_path)
+def _check_dims(block: dict, name: str, dim: int) -> None:
+    """Every point of the block, a POINT field or one of an array of them,
+    has the problem's dim coordinates."""
+    for key, schema in SCHEMA["properties"][name]["properties"].items():
+        value = block.get(key)
+        if value is None or POINT not in (schema, schema.get("items")):
+            continue
+        for point in ([value] if schema == POINT else value):
+            if len(point) != dim:
+                raise ConfigError(f"{len(point)} coordinates do not match the problem's "
+                                  f"dim {dim}", f"$.{name}.{key}")
 
 
 def _dump_report(payload: dict, path: Path) -> Path:
@@ -94,27 +104,18 @@ def cmd_run(args) -> int:
     cfg = _require_config(args)
     spec = build_objective(cfg)
     opt = build_optimizer(cfg)
-    block = dict(cfg.get("run", {}))
-    block.setdefault("max_steps", 1000)
-    block.setdefault("record_x", True)
+    block = _block(cfg, "run", args, max_steps=1000, record_x=True)
     seed = resolve_seed(cfg)
-    _check_dims([block.get("x0")], spec.dim, "$.run.x0")
-    _check_dims([block.get("reference_point")], spec.dim, "$.run.reference_point")
+    _check_dims(block, "run", spec.dim)
+    out = _out_dir(args, cfg)
 
-    stop = None
-    if "epsilon" in block:
-        stop = sweep_mod.StopRule(epsilon=block["epsilon"])
-    ref = block.get("reference_point")
+    stop = sweep_mod.StopRule(epsilon=block["epsilon"]) if "epsilon" in block else None
     trace = run_optimizer(
-        spec, opt,
-        x0=block.get("x0"),
-        stop=stop,
-        max_steps=block["max_steps"],
+        spec, opt, x0=block.get("x0"), stop=stop, max_steps=block["max_steps"],
         rng=RngStream(seed),
         trace_options=TraceOptions(record=True, record_x=block["record_x"],
-                                   reference_point=ref),
+                                   reference_point=block.get("reference_point")),
     )
-    out = _out_dir(args, cfg)
     path = emit_jsonl([r.as_dict() for r in trace.records], out / "run.jsonl")
     print(f"wrote {path} ({trace.steps} records, exit {trace.exit_reason})")
     return 0
@@ -140,37 +141,26 @@ def _stop_rule_from(block: dict, spec) -> sweep_mod.StopRule:
 
 def cmd_sweep(args) -> int:
     cfg = _require_config(args)
-    block = dict(cfg.get("sweep", {}))
-    grid_source = "--batch-grid" if args.batch_grid else "$.sweep.batch_grid"
-    if args.batch_grid:
-        try:
-            block["batch_grid"] = [int(v) for v in args.batch_grid.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"expected comma separated integers, got {args.batch_grid!r}",
-                              grid_source) from exc
-    _override(block, args, "epsilon", "seeds", "max_steps")
-    block.setdefault("batch_grid", list(DEFAULT_BATCH_GRID))
-    block.setdefault("seeds", 3)
-    block.setdefault("max_steps", 30_000)
+    block = _block(cfg, "sweep", args, ("batch_grid", "epsilon", "seeds", "max_steps"),
+                   batch_grid=list(DEFAULT_BATCH_GRID), seeds=3, max_steps=30_000)
     if "epsilon" not in block:
         raise ConfigError("sweep needs an epsilon (flag or config)", "$.sweep.epsilon")
     seed = resolve_seed(cfg)
     resolved = _resolved(cfg, seed, sweep=block)
     if block["batch_grid"] != sorted(set(block["batch_grid"])):
         raise ConfigError(f"batch sizes must be strictly ascending, got {block['batch_grid']}",
-                          grid_source)
+                          "--batch-grid" if args.batch_grid else "$.sweep.batch_grid")
 
     spec = build_objective(resolved)
     opt = build_optimizer(resolved)
-    _check_dims([block.get("x0")], spec.dim, "$.sweep.x0")
-    _check_dims([block.get("reference_point")], spec.dim, "$.sweep.reference_point")
+    _check_dims(block, "sweep", spec.dim)
     stop = _stop_rule_from(block, spec)
+    out = _out_dir(args, cfg)
     summary = sweep_mod.run_sweep(
         spec, opt, block["batch_grid"], block["seeds"], stop, block["max_steps"],
         x0=block.get("x0"), master_seed=seed,
     )
 
-    out = _out_dir(args, cfg)
     p1 = emit_csv([dict(asdict(r), steps=r.steps_T) for r in summary.rows], out / "sweep.csv",
                   ["b", "seed", "steps", "sfo", "exit_reason"])
     print(f"wrote {p1} ({len(summary.rows)} rows)")
@@ -230,7 +220,7 @@ def _critical_report(spec, opt, stop, block, summary, seed) -> dict:
         params = sweep_mod.xyz_from_setup(spec, opt, x_ref, trace=ref_trace,
                                           epsilon=stop.epsilon,
                                           x0=block.get("x0"))
-        report["params"] = asdict(params)
+        report["params"] = params
         report["analytic_b_star"] = sweep_mod.analytic_critical_batch(params)
     except (sweep_mod.DomainError, ValueError) as exc:
         notes.append(f"analytic curve unavailable: {exc}")
@@ -241,15 +231,15 @@ def cmd_noise(args) -> int:
     cfg = _require_config(args)
     spec = build_objective(cfg)
     opt = build_optimizer(cfg)
-    block = dict(cfg.get("noise", {}))
-    block.setdefault("steps", 1500)
+    block = _block(cfg, "noise", args, steps=1500)
     seed = resolve_seed(cfg)
     resolved = _resolved(cfg, seed, noise=block)
     burn_in = block.get("burn_in", noise_mod.default_burn_in(opt.effective_eta_beta()[1]))
     if block["steps"] <= burn_in:
         raise ConfigError(f"{block['steps']} steps leave nothing after a burn-in of {burn_in}",
                           "$.noise.steps")
-    _check_dims([block.get("x0")], spec.dim, "$.noise.x0")
+    _check_dims(block, "noise", spec.dim)
+    out = _out_dir(args, cfg)
 
     trace = run_optimizer(
         spec, opt, x0=block.get("x0"), max_steps=block["steps"],
@@ -260,11 +250,10 @@ def cmd_noise(args) -> int:
         early = f", before its burn-in of {burn_in} steps ended" if trace.steps <= burn_in else ""
         raise ConfigError(f"the run diverged at step {trace.steps}{early}", "$.optimizer")
     report = noise_mod.search_direction_noise(trace, spec, burn_in=burn_in)
-    out = _out_dir(args, cfg)
     p1 = emit_csv(list(report.rows()), out / "noise.csv",
                   ["t", "grad_noise_sq", "omega_sq"])
     print(f"wrote {p1} ({trace.steps} steps)")
-    p2 = _dump_report({"summary": asdict(report.summary), "config": resolved},
+    p2 = _dump_report({"summary": report.summary, "config": resolved},
                       out / "noise.json")
     print(f"wrote {p2} (mean omega^2 = {report.summary.mean_omega_sq:.6g})")
     return 0
@@ -273,18 +262,14 @@ def cmd_noise(args) -> int:
 def cmd_smooth(args) -> int:
     cfg = _require_config(args)
     spec = build_objective(cfg)
-    block = dict(cfg.get("smooth", {}))
-    _override(block, args, "delta", "dist", "samples")
+    block = _block(cfg, "smooth", args, ("delta", "dist", "samples"), delta=0.1,
+                   dist="unit-sphere-uniform", samples=100_000,
+                   points=[[float(v) for v in spec.default_start()]])
     if args.points_file:
         block["points"] = read_json(args.points_file, "--points-file")
-    block.setdefault("delta", 0.1)
-    block.setdefault("dist", "unit-sphere-uniform")
-    block.setdefault("samples", 100_000)
-    if "points" not in block:
-        block["points"] = [[float(v) for v in spec.default_start()]]
     seed = resolve_seed(cfg)
     resolved = _resolved(cfg, seed, smooth=block)
-    _check_dims(block["points"], spec.dim, "$.smooth.points")
+    _check_dims(block, "smooth", spec.dim)
 
     lipschitz = block.get("lipschitz")
     if lipschitz is None and "box_radius" in block:
@@ -295,12 +280,12 @@ def cmd_smooth(args) -> int:
         raise ConfigError(
             "objective has no known Lipschitz constant; set smooth.lipschitz "
             "or smooth.box_radius", "$.smooth.lipschitz")
+    out = _out_dir(args, cfg)
 
     report = smoothing.smoothing_gap_check(
         spec, block["points"], block["delta"], lipschitz=lipschitz,
         samples=block["samples"], dist=block["dist"], rng=RngStream(seed),
     )
-    out = _out_dir(args, cfg)
     payload = {
         "delta": report.delta,
         "lipschitz": report.lipschitz,
@@ -319,20 +304,13 @@ def cmd_smooth(args) -> int:
 def cmd_sharpness(args) -> int:
     cfg = _require_config(args)
     spec = build_objective(cfg)
-    block = dict(cfg.get("sharpness", {}))
-    _override(block, args, "rho", "iters", "method")
-    if args.p:
-        block["p"] = 2 if args.p == "2" else "inf"
-    block.setdefault("rho", 0.5)
-    block.setdefault("p", "inf")
-    block.setdefault("iters", 50)
-    block.setdefault("method", "sign-ascent")
+    block = _block(cfg, "sharpness", args, ("rho", "p", "iters", "method"),
+                   rho=0.5, p="inf", iters=50, method="sign-ascent")
     seed = resolve_seed(cfg)
     resolved = _resolved(cfg, seed, sharpness=block)
 
+    _check_dims(block, "sharpness", spec.dim)
     point = block.get("point", [float(v) for v in spec.default_start()])
-    _check_dims([point], spec.dim, "$.sharpness.point")
-    _check_dims([block.get("c")], spec.dim, "$.sharpness.c")
     try:
         spec_sharp = smoothing.SharpnessSpec(
             rho=block["rho"], c=block.get("c"), p=block["p"],
@@ -340,9 +318,9 @@ def cmd_sharpness(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc), "$.sharpness") from exc
+    out = _out_dir(args, cfg)
     value = smoothing.adaptive_sharpness(spec, np.asarray(point, dtype=float),
                                          spec_sharp, rng=RngStream(seed))
-    out = _out_dir(args, cfg)
     payload = {
         "value": value,
         "rho": block["rho"],
@@ -359,12 +337,13 @@ def cmd_sharpness(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config) if args.config else {}
-    block = dict(cfg.get("verify", {}))
+    block = _block(cfg, "verify", args)
     if "master_seed" in cfg or os.environ.get(SEED_ENV_VAR):
         seed = resolve_seed(cfg)
     else:
         seed = analysis.VerifySettings().master_seed
     settings = analysis.VerifySettings(master_seed=seed, **block)
+    out = _out_dir(args, cfg)
     results = analysis.run_verify_suite(settings)
     all_asserted = all(r.holds for r in results if r.asserted)
     for r in results:
@@ -377,22 +356,36 @@ def cmd_verify(args) -> int:
         "all_asserted_hold": all_asserted,
         "config": resolved,
     }
-    out = _out_dir(args, cfg)
     path = _dump_report(payload, out / "verify.json")
     print(f"wrote {path} ({len(results)} checks, all asserted hold: {all_asserted})")
     return 0 if all_asserted else 1
 
 
 def cmd_table1(args) -> int:
+    out = _out_dir(args, {}) if args.out else None
     text = fixture_table_text()
     sys.stdout.write(text)
-    if args.out:
-        out = Path(args.out)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         path = out / "table1.txt"
         path.write_text(text, encoding="utf-8")
         print(f"wrote {path}")
     return 0
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _int_list(text: str) -> list:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma separated integers, got {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -422,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="batch-size sweep with critical-batch report")
     common(p)
-    p.add_argument("--batch-grid", help="comma separated batch sizes")
-    p.add_argument("--epsilon", type=float)
+    p.add_argument("--batch-grid", type=_int_list, help="comma separated batch sizes")
+    p.add_argument("--epsilon", type=_finite_float)
     p.add_argument("--seeds", type=int)
     p.add_argument("--max-steps", type=int)
     p.add_argument("--jobs", type=_positive_int, default=1, help=jobs_help)
@@ -435,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("smooth", help="smoothed-value gap check")
     common(p)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--delta", type=_finite_float)
     p.add_argument("--dist", choices=list(smoothing.DISTRIBUTIONS))
     p.add_argument("--samples", type=int)
     p.add_argument("--points-file", help="JSON array of points")
@@ -443,8 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sharpness", help="worst-case adaptive sharpness lower bound")
     common(p)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--p", choices=["2", "inf"])
+    p.add_argument("--rho", type=_finite_float)
+    # the config's p is the int 2 or the string "inf"
+    p.add_argument("--p", type=lambda s: 2 if s == "2" else s, choices=[2, "inf"])
     p.add_argument("--iters", type=int)
     p.add_argument("--method", choices=list(smoothing.SHARPNESS_METHODS))
     p.set_defaults(handler=cmd_sharpness)

@@ -10,6 +10,7 @@ NOISE_LAB_SEED environment variable overrides master_seed.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -20,7 +21,8 @@ from .problems import KINDS, Objective, make_objective
 
 SEED_ENV_VAR = "NOISE_LAB_SEED"
 
-_NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+# a point in the problem's space: the CLI checks its length against the problem's dim
+POINT = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -58,10 +60,10 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "max_steps": {"type": "integer", "minimum": 1},
-                "x0": _NUMBER_ARRAY,
+                "x0": POINT,
                 "epsilon": {"type": "number", "exclusiveMinimum": 0},
                 "record_x": {"type": "boolean"},
-                "reference_point": _NUMBER_ARRAY,
+                "reference_point": POINT,
             },
         },
         "sweep": {
@@ -75,8 +77,8 @@ SCHEMA = {
                 "max_steps": {"type": "integer", "minimum": 1},
                 "stop_kind": {"enum": ["cumulative-grad-norm", "inner-product"]},
                 "use_minibatch_norm": {"type": "boolean"},
-                "reference_point": _NUMBER_ARRAY,
-                "x0": _NUMBER_ARRAY,
+                "x0": POINT,
+                "reference_point": POINT,
             },
         },
         "noise": {
@@ -85,7 +87,7 @@ SCHEMA = {
             "properties": {
                 "steps": {"type": "integer", "minimum": 2},
                 "burn_in": {"type": "integer", "minimum": 0},
-                "x0": _NUMBER_ARRAY,
+                "x0": POINT,
             },
         },
         "smooth": {
@@ -95,7 +97,7 @@ SCHEMA = {
                 "delta": {"type": "number", "minimum": 0},
                 "dist": {"enum": ["unit-sphere-uniform", "gaussian-scaled", "ball-uniform"]},
                 "samples": {"type": "integer", "minimum": 1},
-                "points": {"type": "array", "items": _NUMBER_ARRAY, "minItems": 1},
+                "points": {"type": "array", "items": POINT, "minItems": 1},
                 "lipschitz": {"type": "number", "exclusiveMinimum": 0},
                 "box_radius": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -108,8 +110,8 @@ SCHEMA = {
                 "p": {"enum": [2, "inf"]},
                 "iters": {"type": "integer", "minimum": 1},
                 "method": {"enum": ["random-search", "sign-ascent"]},
-                "c": _NUMBER_ARRAY,
-                "point": _NUMBER_ARRAY,
+                "point": POINT,
+                "c": POINT,
             },
         },
         "verify": {
@@ -136,26 +138,31 @@ class ConfigError(ValueError):
         self.json_path = json_path
 
 
-def _integral(schema: dict, value):
-    """value with the floats at schema's "integer" nodes as ints: JSON Schema
-    counts 2.0 as an integer, so validation lets them through."""
-    if isinstance(value, float) and schema.get("type") == "integer":
-        return int(value)
-    if isinstance(value, dict) and "properties" in schema:
-        return {k: _integral(schema["properties"].get(k, {}), v) for k, v in value.items()}
-    if isinstance(value, list) and "items" in schema:
-        return [_integral(schema["items"], v) for v in value]
+def _normalized(schema: dict, value, path: str = "$"):
+    """value with the floats at schema's "integer" nodes as ints (JSON Schema
+    counts 2.0 as an integer); ConfigError naming the first NaN or infinity,
+    which Python's json reads (NaN, Infinity, 1e400) and JSON Schema passes."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConfigError("not a finite number", path)
+        return int(value) if schema.get("type") == "integer" else value
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        return {k: _normalized(props.get(k, {}), v, f"{path}.{k}") for k, v in value.items()}
+    if isinstance(value, list):
+        return [_normalized(schema.get("items", {}), v, f"{path}[{i}]")
+                for i, v in enumerate(value)]
     return value
 
 
 def validate_config(cfg: dict) -> dict:
-    """Schema-validate a raw config dict, returned with _integral applied;
-    raises ConfigError naming the failing JSON path."""
+    """Schema-validate a raw config dict, returned _normalized; raises
+    ConfigError naming the failing JSON path."""
     errors = sorted(_validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
         raise ConfigError(err.message, err.json_path)
-    return _integral(SCHEMA, cfg)
+    return _normalized(SCHEMA, cfg)
 
 
 def read_json(path, json_path: str):

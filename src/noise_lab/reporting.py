@@ -1,8 +1,9 @@
 """Byte-deterministic CSV / JSON / JSONL emission.
 
 CSV floats are rendered with 17 significant digits so values round-trip
-exactly; JSON uses sorted keys and Python's shortest-round-trip float
-repr. Identical inputs always produce identical bytes.
+exactly. JSON is written by json itself, with sorted keys and Python's
+shortest-round-trip float repr; its `default` hook converts numpy values
+and dataclasses. Identical inputs always produce identical bytes.
 """
 
 from __future__ import annotations
@@ -27,46 +28,37 @@ def format_value(v) -> str:
     return str(v)
 
 
-def to_jsonable(obj):
-    """Recursively convert dataclasses / numpy values into JSON-safe types."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return to_jsonable(dataclasses.asdict(obj))
-    if isinstance(obj, Mapping):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+def _jsonable(obj):
+    """json's `default` hook: what json cannot encode itself, or TypeError."""
     if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return dataclasses.asdict(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write(path, text: str) -> Path:
+    """Write text to path, making its directory first."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    return path
 
 
 def emit_csv(records: Sequence[Mapping], path, columns: Sequence[str]) -> Path:
     """Header row plus one line per record, fields in declared order."""
-    path = Path(path)
     lines = [",".join(columns)]
-    for rec in records:
-        lines.append(",".join(format_value(rec[c]) for c in columns))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    lines += [",".join(format_value(rec[c]) for c in columns) for rec in records]
+    return _write(path, "\n".join(lines) + "\n")
 
 
 def emit_jsonl(records: Sequence, path) -> Path:
     """One compact JSON object per line."""
-    path = Path(path)
-    lines = [json.dumps(to_jsonable(rec), sort_keys=True, separators=(",", ":"))
-             for rec in records]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    return path
+    return _write(path, "".join(json.dumps(rec, sort_keys=True, separators=(",", ":"),
+                                           default=_jsonable) + "\n" for rec in records))
 
 
 def dump_json(obj, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(to_jsonable(obj), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
+    return _write(path, json.dumps(obj, indent=2, sort_keys=True, default=_jsonable) + "\n")

@@ -1,13 +1,15 @@
 """CLI behavior: subcommands, exit codes, determinism, file formats."""
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from noise_lab import sweep as sweep_mod
 from noise_lab.cli import fixture_table_text, main
-from noise_lab.config import SCHEMA, ConfigError, build_objective, validate_config
+from noise_lab.config import POINT, SCHEMA, ConfigError, build_objective, validate_config
 from noise_lab.reporting import dump_json, emit_csv, emit_jsonl
 
 DATA = Path(__file__).parent / "data"
@@ -185,6 +187,20 @@ BAD_INPUTS = {
                                    {}, None, "--points-file"),
     "smooth-points-file-not-json": ("smooth", ["--points-file", str(DATA / "table1_expected.txt")],
                                     {}, None, "--points-file"),
+    # Python's json and float() read NaN, Infinity and 1e400, and JSON Schema passes them
+    "sweep-epsilon-nan-flag": ("sweep", ["--epsilon", "nan"], {}, None, "--epsilon"),
+    "sweep-epsilon-inf-flag": ("sweep", ["--epsilon", "inf"], {}, None, "--epsilon"),
+    "sharpness-rho-nan-flag": ("sharpness", ["--rho", "nan"], {}, None, "--rho"),
+    "smooth-delta-nan-flag": ("smooth", ["--delta", "nan"], {"smooth": {"box_radius": 3.0}},
+                              None, "--delta"),
+    "problem-variance-nan": ("run", [], {"problem": {"kind": "noisy-quadratic", "dim": 2,
+                                                     "variance": float("nan")}},
+                             None, "$.problem.variance"),
+    "curvature-infinity": ("run", [], {"problem": {"kind": "noisy-quadratic", "dim": 2,
+                                                   "params": {"curvature": [1.0, float("inf")]}}},
+                           None, "$.problem.params.curvature[1]"),
+    "smooth-points-file-overflow": ("smooth", ["--points-file", str(DATA / "points_overflow.json")],
+                                    {"smooth": {"box_radius": 3.0}}, None, "$.smooth.points[0][0]"),
     "negative-env-seed-run": ("run", [], {}, "-1", "$.master_seed"),
     "negative-env-seed-sweep": ("sweep", [], {}, "-1", "$.master_seed"),
     "negative-env-seed-verify": ("verify", [], {}, "-1", "$.master_seed"),
@@ -205,6 +221,54 @@ def test_bad_input_exits_2_naming_its_path(tmp_path, capsys, monkeypatch, case):
     assert exit_status([command, "--config", cfg, "--out", str(out), *flags]) == 2
     assert path in capsys.readouterr().err
     assert not out.exists()
+
+
+# every POINT field of the schema, or array of POINTs, as (block, key): the block's
+# subcommand must check its length against the problem's dim
+POINT_FIELDS = [(name, key) for name, block in SCHEMA["properties"].items()
+                for key, field in block.get("properties", {}).items()
+                if POINT in (field, field.get("items"))]
+
+
+def test_point_fields_are_found():
+    assert set(POINT_FIELDS) >= {("run", "x0"), ("run", "reference_point"), ("sweep", "x0"),
+                                 ("sweep", "reference_point"), ("noise", "x0"),
+                                 ("smooth", "points"), ("sharpness", "point"), ("sharpness", "c")}
+
+
+@pytest.mark.parametrize("name,key", POINT_FIELDS)
+def test_every_point_field_is_dim_checked(tmp_path, capsys, name, key):
+    point = [1.0, 2.0, 3.0]                   # SWEEP_CFG's problem has dim 2
+    field = SCHEMA["properties"][name]["properties"][key]
+    cfg = json.loads(json.dumps(SWEEP_CFG))
+    cfg.setdefault(name, {})[key] = point if field == POINT else [point]
+    out = tmp_path / "out"
+    assert exit_status([name, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"$.{name}.{key}: 3 coordinates do not match" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,where", [("sweep", "--out"), ("sweep", "--out-parent"),
+                                           ("sweep", "$.output_dir"), ("table1", "--out"),
+                                           ("table1", "--out-parent")])
+def test_unusable_output_directory_exits_2_before_running(tmp_path, capsys, monkeypatch,
+                                                          command, where):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran before the output directory was checked")
+
+    monkeypatch.setattr(sweep_mod, "run_sweep", no_cells)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    out = str(blocker / "sub" if where == "--out-parent" else blocker)
+    cfg = dict(SWEEP_CFG, output_dir=out) if where == "$.output_dir" else SWEEP_CFG
+    argv = [command] if command == "table1" else [command, "--config", write_cfg(tmp_path, cfg)]
+    if where != "$.output_dir":
+        argv += ["--out", out]
+    assert exit_status(argv) == 2
+    captured = capsys.readouterr()
+    assert where.replace("-parent", "") + ": " in captured.err
+    assert captured.out == ""
+    assert blocker.read_text() == "a file, not a directory\n"
 
 
 # (subcommand, top-level overrides of SWEEP_CFG or SMALL_VERIFY, block, key, integral
@@ -310,6 +374,37 @@ class TestEmitters:
         text = path.read_text()
         assert text.index('"a"') < text.index('"z"')
         assert json.loads(text) == {"a": [0, 1, 2], "z": 0.5}
+
+    def test_numpy_dataclass_and_nan_bytes_pinned(self, tmp_path):
+        @dataclass
+        class Inner:
+            v: np.ndarray
+            w: tuple
+
+        @dataclass
+        class Outer:
+            name: str
+            inner: Inner
+
+        obj = {"f32": np.float32(0.1), "i64": np.int64(-7), "flag": np.bool_(True),
+               "off": np.bool_(False), "pair": (1, 2.5), "nan": float("nan"),
+               "f64nan": np.float64("nan"),
+               "nested": Outer("a", Inner(np.array([[1.5, 2.0]]), (np.int64(3),)))}
+        compact = ('{"f32":0.10000000149011612,"f64nan":NaN,"flag":true,"i64":-7,"nan":NaN,'
+                   '"nested":{"inner":{"v":[[1.5,2.0]],"w":[3]},"name":"a"},'
+                   '"off":false,"pair":[1,2.5]}')
+        path = emit_jsonl([obj, Inner(np.arange(2), ())], tmp_path / "o.jsonl")
+        assert path.read_text() == compact + '\n{"v":[0,1],"w":[]}\n'
+        text = dump_json(obj, tmp_path / "o.json").read_text()
+        assert text == json.dumps(json.loads(compact), indent=2, sort_keys=True) + "\n"
+        assert '"v": [\n        [\n          1.5,\n          2.0\n        ]\n      ]' in text
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, np.float64])
+    def test_unsupported_object_raises_type_error(self, tmp_path, value):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            dump_json({"a": value}, tmp_path / "o.json")
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            emit_jsonl([{"a": [value]}], tmp_path / "o.jsonl")
 
 
 class TestRunSubcommand:
