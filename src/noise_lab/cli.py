@@ -382,7 +382,7 @@ def _finite_float(text: str) -> float:
 
 def _int_list(text: str) -> list:
     try:
-        return [int(v) for v in text.split(",")]
+        return [_positive_int(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma separated integers, got {text!r}") from None
@@ -417,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--batch-grid", type=_int_list, help="comma separated batch sizes")
     p.add_argument("--epsilon", type=_finite_float)
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--max-steps", type=int)
+    p.add_argument("--seeds", type=_positive_int)
+    p.add_argument("--max-steps", type=_positive_int)
     p.add_argument("--jobs", type=_positive_int, default=1, help=jobs_help)
     p.set_defaults(handler=cmd_sweep)
 
@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--delta", type=_finite_float)
     p.add_argument("--dist", choices=list(smoothing.DISTRIBUTIONS))
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=_positive_int)
     p.add_argument("--points-file", help="JSON array of points")
     p.set_defaults(handler=cmd_smooth)
 
@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=_finite_float)
     # the config's p is the int 2 or the string "inf"
     p.add_argument("--p", type=lambda s: 2 if s == "2" else s, choices=[2, "inf"])
-    p.add_argument("--iters", type=int)
+    p.add_argument("--iters", type=_positive_int)
     p.add_argument("--method", choices=list(smoothing.SHARPNESS_METHODS))
     p.set_defaults(handler=cmd_sharpness)
 

@@ -11,10 +11,11 @@ eta = gamma / (1 - beta_bar), beta = beta_bar, because m_t = d_t / (1 - beta).
 
 One engine, `simulate`, advances R independent cells in lockstep on
 (R, dim) arrays; `run` is its one-cell case. Each cell draws its minibatch
-once per step from a substream of its own RngStream derived from the step
-index, so two algorithms driven by the same RngStream see identical noise
-and cross-algorithm comparisons are exact rather than statistical, and a
-cell's iterates do not depend on which other cells share its stack.
+once per step, around the exact gradient the step already holds, from the
+generator its own RngStream gives for the step index, so two algorithms
+driven by the same RngStream see identical noise and cross-algorithm
+comparisons are exact rather than statistical, and a cell's iterates do
+not depend on which other cells share its stack.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
     x0; returns one Trace per stream, in order.
 
     Each cell runs as if alone: its step-t minibatch comes from
-    streams[r].child(t), the step functions above update the stacked
+    streams[r].generator(t), the step functions above update the stacked
     state, and a cell leaves the stack once it diverges or its own
     accumulator from stop.start() fires. observe(t, grad, minibatch_grad,
     x) sees one cell's vectors and returns True to end it (see
@@ -261,7 +262,7 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
     for t in range(max_steps):
         x_t = state.x
         g = grad_many(x_t)
-        gb = draw(x_t, b, [s.child(t) for s in live_streams])
+        gb = draw(x_t, b, [s.generator(t) for s in live_streams], g)
         step(state, gb, *step_args)
         direction = state.momentum if momentum else gb
 
@@ -308,7 +309,7 @@ def run(spec: Objective, config: OptimizerConfig, x0=None, stop=None,
     oracle until the stop rule fires, the step cap is reached, or the
     iterate diverges: the one-cell case of `simulate`.
 
-    The minibatch at step t comes from rng.child(t), so runs sharing an
+    The minibatch at step t comes from rng.generator(t), so runs sharing an
     RngStream share noise draw-for-draw.
     """
     return simulate(spec, config, [rng if rng is not None else RngStream(0)], x0=x0,

@@ -25,7 +25,9 @@ Additive noise is isotropic Gaussian with per-coordinate variance
 C^2 / dim, so the total deviation second moment is exactly C^2 and the
 1/b minibatch scaling is an equality rather than a bound.
 
-All randomness flows through caller-supplied RngStream values; the
+All randomness flows through caller-supplied RngStream values, and a
+step's draw through the generators its caller takes from them with
+RngStream.generator(t), given with the rows' exact gradients; the
 objectives themselves are immutable and safe to share across runs.
 """
 
@@ -123,16 +125,13 @@ def _seed_words_type() -> type:
 
 
 class _StepSeeds:
-    """Seed words of a stream's substreams stream.child(t), t < 2^32. The
-    first label asked for is left to numpy's SeedSequence, so a child made
-    once costs what numpy's does; from the second on, labels t ...
-    t+_BLOCK-1 are filled in one pass and kept until a label outside them is
-    asked for."""
+    """Seed words of a stream's step substreams stream.child(t), t < 2^32:
+    labels t ... t+_BLOCK-1 are filled in one pass and kept until a label
+    outside them is asked for."""
 
     def __init__(self, master_seed, path):
-        self.seed_words = _word_count(master_seed)     # a negative seed fails here
         self.master_seed, self.path = master_seed, path
-        self.window = None      # None until a first label has been asked for
+        self.window = (0, np.empty((0, 4), dtype=np.uint64))
 
     @functools.cached_property
     def mixer(self) -> tuple:
@@ -144,16 +143,12 @@ class _StepSeeds:
         from numpy.random import SeedSequence
 
         pool = SeedSequence(self.master_seed, spawn_key=self.path).pool.astype(np.uint64)
-        calls = 4 * (max(self.seed_words, 4) + sum(map(_word_count, self.path)))
+        calls = 4 * (max(_word_count(self.master_seed), 4) + sum(map(_word_count, self.path)))
         return pool, _hash_constants(_HASH_INIT * pow(_MULT_A, calls, 1 << 32), _MULT_A, 4)
 
-    def state(self, label: int) -> Optional[np.ndarray]:
-        """child(label)'s seed words, or None if numpy should derive them."""
-        window = self.window    # read once: a race costs a refill, never a wrong row
-        if window is None:
-            self.window = (0, np.empty((0, 4), dtype=np.uint64))
-            return None
-        start, block = window
+    def state(self, label: int) -> np.ndarray:
+        """child(label)'s seed words."""
+        start, block = self.window    # read once: a race costs a refill, never a wrong row
         if not 0 <= label - start < len(block):
             pool, hashes = self.mixer
             labels = np.arange(label, min(label + _BLOCK, _MASK32 + 1), dtype=np.uint64)
@@ -172,38 +167,34 @@ class RngStream:
     independent. `generator()` always restarts from the stream's origin,
     so a stream value denotes a reproducible sequence, not a cursor. Its
     bits are those of np.random.default_rng(np.random.SeedSequence(
-    master_seed, spawn_key=path)); the seeding of step substreams
-    stream.child(t) is replayed here, in blocks their parent fills.
+    master_seed, spawn_key=path)); generator(t), the generator of the step
+    substream child(t), replays that seeding from blocks the stream fills.
     """
 
     master_seed: int
     path: tuple[int, ...] = ()
-    # the memo this stream's seed words come from, set by parent.child(t)
-    _step_seeds: Optional[_StepSeeds] = field(default=None, compare=False, repr=False)
-    # the memo of this stream's own child(t) substreams, made on first use
+    # the memo of this stream's step seed words, made by the first generator(t)
     # (threads racing here make two, and either gives the right words)
     _child_seeds: Optional[_StepSeeds] = field(default=None, init=False, compare=False,
                                                repr=False)
 
     def __post_init__(self):
-        if self._step_seeds is None:    # child(t) hands over a checked path
-            object.__setattr__(self, "path", tuple(map(_label_to_int, self.path)))
+        _word_count(self.master_seed)       # a negative seed fails here
+        object.__setattr__(self, "path", tuple(map(_label_to_int, self.path)))
 
     def child(self, *labels) -> "RngStream":
         """Derive an independent substream; labels are ints or strings."""
-        if len(labels) != 1 or type(labels[0]) is not int or labels[0] < 0:
-            return RngStream(self.master_seed, self.path + labels)
-        if self._child_seeds is None:
-            object.__setattr__(self, "_child_seeds", _StepSeeds(self.master_seed, self.path))
-        return RngStream(self.master_seed, self.path + labels, self._child_seeds)
+        return RngStream(self.master_seed, self.path + labels)
 
-    def generator(self) -> np.random.Generator:
-        seeds = self._step_seeds
-        state = seeds.state(self.path[-1]) if seeds and self.path[-1] <= _MASK32 else None
-        if state is None:
-            seq = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
+    def generator(self, t: Optional[int] = None) -> np.random.Generator:
+        """This stream's generator, or with a step index t that of child(t)."""
+        if t is not None and 0 <= t <= _MASK32:
+            if self._child_seeds is None:
+                object.__setattr__(self, "_child_seeds", _StepSeeds(self.master_seed, self.path))
+            seq = _seed_words_type()(self._child_seeds.state(t))
         else:
-            seq = _seed_words_type()(state)
+            path = self.path if t is None else self.path + (_label_to_int(t),)
+            seq = np.random.SeedSequence(self.master_seed, spawn_key=path)
         return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -288,46 +279,47 @@ class Objective:
         if m < 1:
             raise ValueError(f"sample count must be >= 1, got {m}")
         return self._draw_blocks(np.broadcast_to(x, (m, self.dim)), b, rng.generator(),
-                                 at_point=True)
+                                 np.broadcast_to(self.grad(x), (m, self.dim)), at_point=True)
 
-    def minibatch_grad_ensemble(self, X: np.ndarray, b: int, streams) -> np.ndarray:
+    def minibatch_grad_ensemble(self, X: np.ndarray, b: int, gens, G: np.ndarray) -> np.ndarray:
         """One minibatch gradient per row of X (independent draws), (m, dim),
-        from one RngStream for all rows or from one stream per row. Row r has
-        the law of minibatch_grad(X[r], b, streams[r]); the additive kinds draw
-        its mean directly as dim normals, so their bits agree only at b = 1."""
+        given G, the rows' exact gradients, and one np.random.Generator for
+        all rows or a sequence of one per row. Row r has the law of
+        minibatch_grad(X[r], b, ...); the additive kinds draw its mean
+        directly as dim normals, so their bits agree with it only at b = 1."""
         X = np.asarray(X, dtype=float)
-        if isinstance(streams, RngStream):
-            return self._draw_blocks(X, b, streams.generator())
-        if len(streams) != X.shape[0]:
-            raise ValueError(f"got {len(streams)} streams for {X.shape[0]} rows")
-        return self._draw_blocks(X, b, streams)
+        if isinstance(gens, np.random.Generator):
+            return self._draw_blocks(X, b, gens, G)
+        if len(gens) != X.shape[0]:
+            raise ValueError(f"got {len(gens)} generators for {X.shape[0]} rows")
+        if b < 1:
+            raise ValueError(f"batch size must be >= 1, got {b}")
+        return self._minibatch_block(X, b, gens, G, False)
 
-    def _draw_blocks(self, X, b, source, at_point=False) -> np.ndarray:
-        """Minibatch gradients at the rows of X, drawn a block of rows at a
-        time so that no block holds more than _CHUNK_SCALARS draws (unless
-        one row does). source is one generator that fills every row in
-        order, or one RngStream per row; as a generator continues its
-        sequence across calls, no block size changes a bit of the result."""
+    def _draw_blocks(self, X, b, gen, G, at_point=False) -> np.ndarray:
+        """Minibatch gradients at the rows of X from one generator, drawn a
+        block of rows at a time so that no block holds more than
+        _CHUNK_SCALARS draws (unless one row does); as the generator continues
+        its sequence across calls, no block size changes a bit of the result."""
         if b < 1:
             raise ValueError(f"batch size must be >= 1, got {b}")
         rows = max(1, _CHUNK_SCALARS // self._row_scalars(b, at_point))
-        one = isinstance(source, np.random.Generator)
         if 0 < X.shape[0] <= rows:      # one block, the common case: no copy into out
-            return self._minibatch_block(X, b, source if one else [s.generator() for s in source],
-                                         at_point)
+            return self._minibatch_block(X, b, gen, G, at_point)
         out = np.empty((X.shape[0], self.dim))
         for lo in range(0, X.shape[0], rows):
-            gens = source if one else [s.generator() for s in source[lo:lo + rows]]
-            out[lo:lo + rows] = self._minibatch_block(X[lo:lo + rows], b, gens, at_point)
+            out[lo:lo + rows] = self._minibatch_block(X[lo:lo + rows], b, gen, G[lo:lo + rows],
+                                                      at_point)
         return out
 
     def _row_scalars(self, b, at_point) -> int:     # what one row of a block holds
         return b * self.dim
 
-    def _minibatch_block(self, X, b, gens, at_point) -> np.ndarray:
-        """One minibatch gradient per row of X: gens is one generator for all
-        rows in order or a list of one per row; at_point says every row is
-        the same point, as in minibatch_grad_means."""
+    def _minibatch_block(self, X, b, gens, G, at_point) -> np.ndarray:
+        """One minibatch gradient per row of X, whose exact gradients are the
+        rows of G: gens is one generator for all rows in order or a sequence
+        of one per row; at_point says every row is the same point, as in
+        minibatch_grad_means."""
         raise NotImplementedError
 
 
@@ -350,18 +342,17 @@ class _AdditiveNoiseObjective(Objective):
     def _row_scalars(self, b, at_point):
         return b * self.dim if at_point else self.dim
 
-    def _minibatch_block(self, X, b, gens, at_point):
+    def _minibatch_block(self, X, b, gens, G, at_point):
         # means at a point average b real draws; a step draws the mean of b iid
         # N(0, s^2) as one N(0, s^2 / b), exact in law and the same bits at b = 1
-        G = self.grad_many(X)
         if self.variance == 0.0:
-            return G
-        noise = np.empty((X.shape[0], b, self.dim) if at_point else G.shape)
-        if isinstance(gens, list):
+            return G.copy()
+        noise = np.empty((X.shape[0], b, self.dim) if at_point else X.shape)
+        if isinstance(gens, np.random.Generator):
+            gens.standard_normal(out=noise)
+        else:
             for r, gen in enumerate(gens):      # indexing beats iterating over noise's rows
                 gen.standard_normal(out=noise[r])
-        else:
-            gens.standard_normal(out=noise)
         noise *= self.noise_scale
         return G + (np.add.reduce(noise, axis=1) / b if at_point else noise / math.sqrt(b))
 
@@ -504,10 +495,10 @@ class FiniteSumLeastSquares(Objective):
         spectral = float(np.linalg.norm(gram, 2))
         return spectral * radius * math.sqrt(self.dim) + float(np.linalg.norm(bias))
 
-    def _minibatch_block(self, X, b, gens, at_point):
-        # minibatch_grad_means and per-row streams gather per-sample gradients;
-        # one stream for many points takes the einsum form, whose bits differ
-        if isinstance(gens, list):
+    def _minibatch_block(self, X, b, gens, G, at_point):
+        # minibatch_grad_means and per-row generators gather per-sample gradients;
+        # one generator for many points takes the einsum form, whose bits differ
+        if not isinstance(gens, np.random.Generator):
             return np.concatenate([self.per_sample_grads(x)[gen.integers(0, self.n, size=(1, b))]
                                    .mean(axis=1) for x, gen in zip(X, gens)])
         idx = gens.integers(0, self.n, size=(X.shape[0], b))

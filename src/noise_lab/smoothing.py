@@ -269,14 +269,14 @@ def gd_vs_nshb_expectation(spec: Objective, x_start, eta: float, beta: float,
     X = np.tile(x_start, (replicas, 1))
     D = np.zeros_like(X)
     for t in range(burn_in):
-        G = spec.minibatch_grad_ensemble(X, batch_size, rng.child(t))
+        G = spec.minibatch_grad_ensemble(X, batch_size, rng.generator(t), spec.grad_many(X))
         D = (1.0 - beta) * G + beta * D
         X = X - eta * D
         if not np.all(np.isfinite(X)):
             raise FloatingPointError(f"replica ensemble diverged at burn-in step {t}")
 
     grads = spec.grad_many(X)
-    G = spec.minibatch_grad_ensemble(X, batch_size, rng.child(burn_in))
+    G = spec.minibatch_grad_ensemble(X, batch_size, rng.generator(burn_in), grads)
     D = (1.0 - beta) * G + beta * D
     deltas = -eta * (D - grads)          # x_{t+1} - (x_t - eta grad f(x_t)) per replica
     mean = deltas.mean(axis=0)

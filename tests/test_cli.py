@@ -160,6 +160,22 @@ BAD_INPUTS = {
                       "optimizer": {"algo": "sgd", "eta": 2.585, "batch_size": 1},
                       "noise": {"steps": 400}}, None, "$.optimizer: the run diverged at step 152"),
     "jobs-zero": ("sweep", ["--jobs", "0"], {}, None, "--jobs"),
+    # an int flag below its schema minimum names the flag; the same value in a config
+    # file names its JSON path
+    "sweep-seeds-zero-flag": ("sweep", ["--seeds", "0"], {}, None,
+                              "argument --seeds: must be >= 1"),
+    "sweep-seeds-negative-flag": ("sweep", ["--seeds", "-3"], {}, None,
+                                  "argument --seeds: must be >= 1"),
+    "sweep-max-steps-zero-flag": ("sweep", ["--max-steps", "0"], {}, None,
+                                  "argument --max-steps: must be >= 1"),
+    "sweep-batch-grid-zero-flag": ("sweep", ["--batch-grid", "0,8"], {}, None,
+                                   "argument --batch-grid: must be >= 1"),
+    "smooth-samples-zero-flag": ("smooth", ["--samples", "0"], {}, None,
+                                 "argument --samples: must be >= 1"),
+    "sharpness-iters-zero-flag": ("sharpness", ["--iters", "0"], {}, None,
+                                  "argument --iters: must be >= 1"),
+    "sweep-seeds-zero-config": ("sweep", [], {"sweep": dict(SWEEP_CFG["sweep"], seeds=0)}, None,
+                                "$.sweep.seeds"),
     "curvature-wrong-length": ("run", [], {"problem": {"kind": "noisy-quadratic", "dim": 2,
                                                        "params": {"curvature": [1.0, 2.0, 3.0]}}},
                                None, "$.problem"),

@@ -134,14 +134,16 @@ class TestParity:
             assert np.array_equal(g, spec.grad(x))
 
     def test_per_row_streams_equal_minibatch_grad(self, spec, config, monkeypatch):
-        """Each row is its stream's written-out step draw at any block size;
-        that is minibatch_grad's draw at b = 1, and for finite-sum at any b."""
+        """Each row drawn from its stream's generator is that stream's
+        written-out step draw at any block size; that is minibatch_grad's
+        draw at b = 1, and for finite-sum at any b."""
         X = np.random.default_rng(5).standard_normal((9, spec.dim))
         streams = [RngStream(12, (r, 3)) for r in range(len(X))]
         for chunk_scalars in (problems._CHUNK_SCALARS, 2 * 4 * spec.dim):
             monkeypatch.setattr(problems, "_CHUNK_SCALARS", chunk_scalars)
             for b in (1, 4, 33):
-                G = spec.minibatch_grad_ensemble(X, b, streams)
+                G = spec.minibatch_grad_ensemble(X, b, [s.generator() for s in streams],
+                                                 spec.grad_many(X))
                 for x, s, g in zip(X, streams, G):
                     assert np.array_equal(g, step_draw(spec, x, b, s))
                     if b == 1 or isinstance(spec, FiniteSumLeastSquares):
@@ -160,6 +162,40 @@ def test_b1_runs_equal_the_v1_step_loop(spec, config):
     assert trace.steps == ref["steps"]
     for name in ("x_final", "minibatch_grad", "search_direction"):
         assert np.array_equal(getattr(trace, name), ref[name]), name
+
+
+@pytest.mark.parametrize("spec", [s for s in objectives() if s.variance > 0],
+                         ids=lambda s: s.kind)
+def test_one_exact_gradient_per_step(spec, monkeypatch):
+    """The step's draw reuses the gradient the engine already holds."""
+    calls = []
+    grad_many = spec.grad_many
+
+    def counted(X):
+        calls.append(len(X))
+        return grad_many(X)
+    monkeypatch.setattr(spec, "grad_many", counted)
+    config = CONFIGS[1]
+    simulate(spec, config, [RngStream(6).child(c) for c in range(4)], max_steps=30)
+    assert calls == [4] * 30
+    calls.clear()
+    run(spec, config, max_steps=30, rng=RngStream(6))
+    assert calls == [1] * 30
+
+
+def test_the_step_loop_builds_no_streams(monkeypatch):
+    """A step's generator comes from its cell's stream, not from a new
+    RngStream per step."""
+    rng, built = RngStream(9).child("cell"), []
+    post_init = RngStream.__post_init__
+
+    def counted(self):
+        built.append(self.path)
+        post_init(self)
+    monkeypatch.setattr(RngStream, "__post_init__", counted)
+    trace = run(NoisyQuadratic(dim=3, variance=2.0), CONFIGS[0], max_steps=500, rng=rng)
+    assert trace.steps == 500
+    assert built == []
 
 
 def unblocked_draws(spec, X, b, gen, at_point):
@@ -191,7 +227,8 @@ DRAW_SPECS = objectives() + [NoisyQuadratic(dim=2)]
                          ids=[s.kind for s in DRAW_SPECS[:-1]] + ["noiseless-quadratic"])
 class TestDrawBlocks:
     """Each public draw entry gives the bits of one unblocked draw, whatever
-    number of rows a block holds (10 rows: blocks of 3 leave a remainder)."""
+    number of rows a block holds (10 rows: blocks of 3 leave a remainder);
+    a step's draw takes a generator, or one per row, and the rows' gradients."""
 
     @pytest.fixture
     def blocks(self, spec, b, rows, monkeypatch):
@@ -226,18 +263,21 @@ class TestDrawBlocks:
     def test_ensemble_from_one_stream(self, spec, b, rows, blocks):
         calls = blocks(False)
         X = self.points(spec)
-        got = spec.minibatch_grad_ensemble(X, b, RngStream(4, (b,)))
+        got = spec.minibatch_grad_ensemble(X, b, RngStream(4, (b,)).generator(), spec.grad_many(X))
         want = unblocked_draws(spec, X, b, RngStream(4, (b,)).generator(), False)
         assert np.array_equal(got, want)
         assert len(calls) == (1 if rows is None else -(-10 // rows))
 
     def test_ensemble_from_a_stream_per_row(self, spec, b, rows, blocks):
+        """A row of the per-row path holds only its own output, so all rows
+        are one block whatever the block size."""
         calls = blocks(False)
         X = self.points(spec)
         streams = [RngStream(5, (b, r)) for r in range(len(X))]
-        got = spec.minibatch_grad_ensemble(X, b, streams)
+        got = spec.minibatch_grad_ensemble(X, b, [s.generator() for s in streams],
+                                           spec.grad_many(X))
         assert np.array_equal(got, [step_draw(spec, x, b, s) for x, s in zip(X, streams)])
-        assert len(calls) == (1 if rows is None else -(-10 // rows))
+        assert len(calls) == 1
 
 
 LAW_BATCHES = (1, 8, 512)
@@ -245,7 +285,7 @@ LAW_Z = 4.5     # per statistic, two-sided; 30 statistics make a check
 
 
 def deviation_law_holds(spec, x, n, rng, batches=LAW_BATCHES, z=LAW_Z) -> bool:
-    """Draw n step minibatches (one stream per row, as a stack steps) and n
+    """Draw n step minibatches (one step generator per row, as a stack steps) and n
     minibatch_grad_means at x for each b; both sets of deviations from
     grad f(x) must have every coordinate's mean within z standard errors of
     0 and a mean squared norm within z standard errors of C^2 / b. The
@@ -255,7 +295,8 @@ def deviation_law_holds(spec, x, n, rng, batches=LAW_BATCHES, z=LAW_Z) -> bool:
     for b in batches:
         step = rng.child("step", b)
         paths = (spec.minibatch_grad_ensemble(np.tile(x, (n, 1)), b,
-                                              [step.child(i) for i in range(n)]),
+                                              [step.generator(i) for i in range(n)],
+                                              np.tile(g, (n, 1))),
                  spec.minibatch_grad_means(x, b, n, rng.child("means", b)))
         for draws in paths:
             d = draws - g
@@ -281,11 +322,11 @@ def test_deviation_law_catches_a_planted_step_sampler(monkeypatch, scale):
     spec = NoisyQuadratic(dim=4, variance=3.0)
     draw = spec._minibatch_block
 
-    def planted(X, b, gens, at_point):
+    def planted(X, b, gens, G, at_point):
         if at_point:
-            return draw(X, b, gens, at_point)
+            return draw(X, b, gens, G, at_point)
         z = np.stack([gen.standard_normal(spec.dim) for gen in gens])
-        return spec.grad_many(X) + z * spec.noise_scale * scale(b)
+        return G + z * spec.noise_scale * scale(b)
     monkeypatch.setattr(spec, "_minibatch_block", planted)
     assert not deviation_law_holds(spec, LAW_X, LAW_DRAWS, RngStream(2026))
 

@@ -50,14 +50,16 @@ class TestRngStream:
         np.testing.assert_array_equal(first, second)
 
 
-def numpy_generator(stream):
-    """The oracle: numpy's own SeedSequence seeding of the stream's path."""
-    seq = np.random.SeedSequence(stream.master_seed, spawn_key=stream.path)
+def numpy_generator(stream, *step):
+    """The oracle: numpy's own SeedSequence seeding of the stream's path, or
+    of child(t)'s when a step t is given."""
+    seq = np.random.SeedSequence(stream.master_seed, spawn_key=stream.path + step)
     return np.random.default_rng(seq)
 
 
-def assert_numpy_bits(stream):
-    ours, oracle = stream.generator(), numpy_generator(stream)
+def assert_numpy_bits(stream, *step):
+    """stream.generator() or, given a step t, stream.generator(t) draws numpy's bits."""
+    ours, oracle = stream.generator(*step), numpy_generator(stream, *step)
     np.testing.assert_array_equal(ours.standard_normal(5), oracle.standard_normal(5))
     np.testing.assert_array_equal(ours.integers(0, 2 ** 62, size=5),
                                   oracle.integers(0, 2 ** 62, size=5))
@@ -67,7 +69,7 @@ MASTER_SEEDS = [0, 1, 2024, 2 ** 32 + 5, 2 ** 70 + 3, 2 ** 130 + 7]
 
 
 class TestSeedSequenceReplay:
-    """generator() draws bit for bit what numpy's SeedSequence seeds."""
+    """generator() and generator(t) draw bit for bit what numpy's SeedSequence seeds."""
 
     @pytest.mark.parametrize("seed", MASTER_SEEDS)
     @pytest.mark.parametrize("path", [(), ("minibatch",), (3, "ensemble", 0),
@@ -81,19 +83,19 @@ class TestSeedSequenceReplay:
     def test_steps_in_order_across_blocks(self, seed):
         for parent in (RngStream(seed), RngStream(seed).child("cell", 3)):
             for t in range(1201):
-                assert_numpy_bits(parent.child(t))
+                assert_numpy_bits(parent, t)
 
     @pytest.mark.parametrize("seed", MASTER_SEEDS)
     def test_steps_out_of_order(self, seed):
         parent = RngStream(seed, (9,))
         for t in [700, 3, 130, 129, 128, 127, 0, 1199, 255, 256, 5, 700]:
-            assert_numpy_bits(parent.child(t))
+            assert_numpy_bits(parent, t)
 
     @pytest.mark.parametrize("seed", MASTER_SEEDS)
     def test_labels_at_and_past_two_to_the_32(self, seed):
         parent = RngStream(seed).child("big")
         for t in [2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 33 + 5, 2 ** 64 + 1, 0, 2 ** 32 - 1]:
-            assert_numpy_bits(parent.child(t))
+            assert_numpy_bits(parent, t)
 
     @pytest.mark.parametrize("seed", MASTER_SEEDS)
     @pytest.mark.parametrize("labels", [(7,), (0,), (2 ** 32 - 1,), ("identity",),
@@ -104,11 +106,9 @@ class TestSeedSequenceReplay:
 
     @pytest.mark.parametrize("parent", [RngStream(17).child("cell"), RngStream(2 ** 130 + 7),
                                         RngStream(2 ** 70 + 3, (2 ** 40, "cell", 2 ** 64 + 9))])
-    def test_step_seeds_fill_a_block_from_the_second_label_on(self, parent):
-        assert_numpy_bits(parent.child(5))
-        assert len(parent._child_seeds.window[1]) == 0      # numpy derived the first alone
+    def test_a_block_fills_from_the_first_label(self, parent):
         for t in (5, 6, 700):
-            assert_numpy_bits(parent.child(t))
+            assert_numpy_bits(parent, t)
             assert parent._child_seeds.window[0] == (700 if t == 700 else 5)
             assert len(parent._child_seeds.window[1]) == 128
 
@@ -117,10 +117,20 @@ class TestSeedSequenceReplay:
         steps = [(p, t) for p in parents for t in range(300)]
         random.Random(0).shuffle(steps)
         for parent, t in steps:
-            assert_numpy_bits(parent.child(t))
+            assert_numpy_bits(parent, t)
+
+    @pytest.mark.parametrize("stream", [RngStream(0), RngStream(2024, (3, 7)),
+                                        RngStream(2 ** 70 + 3, (2 ** 40, "cell"))])
+    @pytest.mark.parametrize("t", [0, 127, 128, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1])
+    def test_step_generator_is_the_childs(self, stream, t):
+        ours = stream.generator(t).standard_normal(5)
+        assert np.array_equal(ours, stream.child(t).generator().standard_normal(5))
+        assert np.array_equal(ours, numpy_generator(stream, t).standard_normal(5))
 
     def test_memo_is_not_part_of_the_value(self):
         stepped = RngStream(5).child(3)
+        stepped.generator(7)
+        assert stepped._child_seeds is not None
         assert stepped == RngStream(5, (3,)) and hash(stepped) == hash(RngStream(5, (3,)))
         assert repr(stepped) == "RngStream(master_seed=5, path=(3,))"
 
@@ -135,12 +145,12 @@ class TestSeedSequenceReplay:
         equals numpy's."""
         parent = RngStream(2024).child("shared")
         labels = list(range(0, 2000, 3))
-        want = {t: numpy_generator(parent.child(t)).standard_normal(3) for t in labels}
+        want = {t: numpy_generator(parent, t).standard_normal(3) for t in labels}
         errors = []
 
         def worker(order):
             for t in order:
-                if not np.array_equal(parent.child(t).generator().standard_normal(3), want[t]):
+                if not np.array_equal(parent.generator(t).standard_normal(3), want[t]):
                     errors.append(t)
 
         orders = [random.Random(k).sample(labels, len(labels)) for k in range(4)]
@@ -310,7 +320,8 @@ class TestMinibatchGrad:
         rng = np.random.default_rng(8)
         fs = FiniteSumLeastSquares(rng.standard_normal((30, 3)), rng.standard_normal(30))
         x = rng.standard_normal(3)
-        ens = fs.minibatch_grad_ensemble(np.tile(x, (20_000, 1)), 4, RngStream(33))
+        ens = fs.minibatch_grad_ensemble(np.tile(x, (20_000, 1)), 4, RngStream(33).generator(),
+                                         np.tile(fs.grad(x), (20_000, 1)))
         ref = fs.minibatch_grad_means(x, 4, 20_000, RngStream(44))
         np.testing.assert_allclose(ens.mean(axis=0), ref.mean(axis=0), atol=0.05)
         dev_e = np.mean(np.sum((ens - fs.grad(x)) ** 2, axis=1))
