@@ -338,7 +338,7 @@ def cmd_sharpness(args) -> int:
 def cmd_verify(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     block = _block(cfg, "verify", args)
-    if "master_seed" in cfg or os.environ.get(SEED_ENV_VAR):
+    if "master_seed" in cfg or SEED_ENV_VAR in os.environ:
         seed = resolve_seed(cfg)
     else:
         seed = analysis.VerifySettings().master_seed

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from pathlib import Path
-
-import jsonschema
 
 from .optimizers import OptimizerConfig
 from .problems import KINDS, Objective, make_objective
@@ -129,8 +128,6 @@ SCHEMA = {
     },
 }
 
-_validator = jsonschema.Draft202012Validator(SCHEMA)
-
 
 class ConfigError(ValueError):
     def __init__(self, message: str, json_path: str = "$"):
@@ -138,31 +135,79 @@ class ConfigError(ValueError):
         self.json_path = json_path
 
 
-def _normalized(schema: dict, value, path: str = "$"):
-    """value with the floats at schema's "integer" nodes as ints (JSON Schema
-    counts 2.0 as an integer); ConfigError naming the first NaN or infinity,
-    which Python's json reads (NaN, Infinity, 1e400) and JSON Schema passes."""
+# the Python type of each JSON Schema type name; _is keeps bools out of the numbers
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "number": numbers.Number, "integer": int}
+
+
+def _is(kind: str, value) -> bool:
+    if kind == "integer" and isinstance(value, float):
+        return value.is_integer()            # JSON Schema counts 2.0 as an integer
+    return isinstance(value, _TYPES[kind]) and (kind == "boolean") == isinstance(value, bool)
+
+
+def _unexpected(value: dict, allowed, schema: dict):
+    extras = sorted(k for k in value if k not in schema.get("properties", {}))
+    listed, verb = ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"
+    return allowed is False and extras and (
+        f"Additional properties are not allowed ({listed} {verb} unexpected)")
+
+
+# the JSON Schema 2020-12 keywords SCHEMA may use: the type each constrains (None: any) and
+# value's error message under its argument, falsy if none (jsonschema 4.26's texts)
+_KEYWORDS = {
+    "type": (None, lambda v, t, _: not _is(t, v) and f"{v!r} is not of type {t!r}"),
+    "enum": (None, lambda v, e, _: not any(v == x and isinstance(v, bool) == isinstance(x, bool)
+                                           for x in e) and f"{v!r} is not one of {e!r}"),
+    "minimum": ("number", lambda v, m, _: v < m and f"{v!r} is less than the minimum of {m!r}"),
+    "exclusiveMinimum": ("number", lambda v, m, _: v <= m and (
+        f"{v!r} is less than or equal to the minimum of {m!r}")),
+    "exclusiveMaximum": ("number", lambda v, m, _: v >= m and (
+        f"{v!r} is greater than or equal to the maximum of {m!r}")),
+    "minItems": ("array", lambda v, n, _: len(v) < n and (
+        f"{v!r} {'should be non-empty' if n == 1 else 'is too short'}")),
+    "additionalProperties": ("object", _unexpected),
+    "required": ("object", lambda v, r, _: next(
+        (f"{k!r} is a required property" for k in r if k not in v), None)),
+    # _checked descends through "properties" and "items"; "$schema" only annotates
+    **dict.fromkeys(("properties", "items", "$schema"), (None, lambda *_: None)),
+}
+
+
+def _checked(schema: dict, value, path: tuple, errors: list, nonfinite: list):
+    """value with the floats at "integer" nodes as ints; the first keyword it fails ends
+    its walk with (path, message) in errors, and a NaN or infinity goes to nonfinite."""
+    for key, arg in schema.items():
+        kind, check = _KEYWORDS[key]
+        message = (kind is None or _is(kind, value)) and check(value, arg, schema)
+        if message:
+            errors.append((path, message))
+            return value
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise ConfigError("not a finite number", path)
+            nonfinite.append(path)
         return int(value) if schema.get("type") == "integer" else value
     if isinstance(value, dict):
         props = schema.get("properties", {})
-        return {k: _normalized(props.get(k, {}), v, f"{path}.{k}") for k, v in value.items()}
+        return {k: _checked(props.get(k, {}), v, (*path, k), errors, nonfinite)
+                for k, v in value.items()}
     if isinstance(value, list):
-        return [_normalized(schema.get("items", {}), v, f"{path}[{i}]")
+        return [_checked(schema.get("items", {}), v, (*path, i), errors, nonfinite)
                 for i, v in enumerate(value)]
     return value
 
 
 def validate_config(cfg: dict) -> dict:
-    """Schema-validate a raw config dict, returned _normalized; raises
-    ConfigError naming the failing JSON path."""
-    errors = sorted(_validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        raise ConfigError(err.message, err.json_path)
-    return _normalized(SCHEMA, cfg)
+    """cfg checked against SCHEMA, returned _checked; ConfigError names the smallest
+    failing path (jsonschema's errors sorted by path) or, if none, the first NaN."""
+    errors, nonfinite = [], []
+    out = _checked(SCHEMA, cfg, (), errors, nonfinite)
+    if errors or nonfinite:
+        path, message = (min(errors, key=lambda e: e[0]) if errors
+                         else (nonfinite[0], "not a finite number"))
+        raise ConfigError(message, "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                                                 for k in path))
+    return out
 
 
 def read_json(path, json_path: str):

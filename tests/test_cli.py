@@ -123,7 +123,7 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", cfg, "--out", str(out), "--jobs", jobs])
         assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+        assert "argument --jobs: must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -136,12 +136,17 @@ def exit_status(argv) -> int:
 
 
 # (subcommand, extra flags, top-level config overrides, NOISE_LAB_SEED, path
-# the error must name); a config of None points --config at a missing file
+# the error must name); a config of None points --config at a missing file, and
+# NO_CONFIG passes no --config
+NO_CONFIG = "no --config"
 BAD_INPUTS = {
     "missing-config-file": ("run", [], None, None, "--config"),
-    "empty-batch-size": ("sweep", ["--batch-grid", "8,,16"], {}, None, "--batch-grid"),
-    "descending-batch-grid": ("sweep", ["--batch-grid", "16,8"], {}, None, "--batch-grid"),
-    "repeated-batch-size": ("sweep", ["--batch-grid", "8,8,16"], {}, None, "--batch-grid"),
+    "empty-batch-size": ("sweep", ["--batch-grid", "8,,16"], {}, None,
+                         "argument --batch-grid: expected comma separated integers"),
+    "descending-batch-grid": ("sweep", ["--batch-grid", "16,8"], {}, None,
+                              "--batch-grid: batch sizes must be strictly ascending"),
+    "repeated-batch-size": ("sweep", ["--batch-grid", "8,8,16"], {}, None,
+                            "--batch-grid: batch sizes must be strictly ascending"),
     "descending-config-grid": ("sweep", [],
                                {"sweep": dict(SWEEP_CFG["sweep"], batch_grid=[16, 8])},
                                None, "$.sweep.batch_grid"),
@@ -159,7 +164,7 @@ BAD_INPUTS = {
                       "problem": {"kind": "noisy-quadratic", "dim": 2, "variance": 1.0},
                       "optimizer": {"algo": "sgd", "eta": 2.585, "batch_size": 1},
                       "noise": {"steps": 400}}, None, "$.optimizer: the run diverged at step 152"),
-    "jobs-zero": ("sweep", ["--jobs", "0"], {}, None, "--jobs"),
+    "jobs-zero": ("sweep", ["--jobs", "0"], {}, None, "argument --jobs: must be >= 1"),
     # an int flag below its schema minimum names the flag; the same value in a config
     # file names its JSON path
     "sweep-seeds-zero-flag": ("sweep", ["--seeds", "0"], {}, None,
@@ -220,6 +225,10 @@ BAD_INPUTS = {
     "negative-env-seed-run": ("run", [], {}, "-1", "$.master_seed"),
     "negative-env-seed-sweep": ("sweep", [], {}, "-1", "$.master_seed"),
     "negative-env-seed-verify": ("verify", [], {}, "-1", "$.master_seed"),
+    # verify alone runs at its default seed, unless NOISE_LAB_SEED is set, even to ""
+    "empty-env-seed-verify-without-config": ("verify", [], NO_CONFIG, "",
+                                             "$: NOISE_LAB_SEED must be an integer, got ''"),
+    "empty-env-seed-run": ("run", [], {}, "", "$: NOISE_LAB_SEED must be an integer, got ''"),
 }
 
 
@@ -227,14 +236,16 @@ BAD_INPUTS = {
 def test_bad_input_exits_2_naming_its_path(tmp_path, capsys, monkeypatch, case):
     command, flags, overrides, env_seed, path = BAD_INPUTS[case]
     if overrides is None:
-        cfg = str(tmp_path / "missing.json")
+        config = ["--config", str(tmp_path / "missing.json")]
+    elif overrides == NO_CONFIG:
+        config = []
     else:
         base = SMALL_VERIFY if command == "verify" else SWEEP_CFG
-        cfg = write_cfg(tmp_path, {**base, **overrides})
+        config = ["--config", write_cfg(tmp_path, {**base, **overrides})]
     if env_seed is not None:
         monkeypatch.setenv("NOISE_LAB_SEED", env_seed)
     out = tmp_path / "out"
-    assert exit_status([command, "--config", cfg, "--out", str(out), *flags]) == 2
+    assert exit_status([command, *config, "--out", str(out), *flags]) == 2
     assert path in capsys.readouterr().err
     assert not out.exists()
 
@@ -330,6 +341,7 @@ class TestConfigSchema:
                 *out["sweep"]["batch_grid"]]
         assert all(type(v) is int for v in ints)
         assert type(out["problem"]["variance"]) is float     # number fields keep their type
+        assert type(out["problem"]["params"]["x0"][0]) is float    # so does the free params block
         assert cfg["master_seed"] == 11.0 and type(cfg["master_seed"]) is float
 
 
