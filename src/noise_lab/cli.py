@@ -116,7 +116,7 @@ def cmd_run(args) -> int:
         trace_options=TraceOptions(record=True, record_x=block["record_x"],
                                    reference_point=block.get("reference_point")),
     )
-    path = emit_jsonl([r.as_dict() for r in trace.records], out / "run.jsonl")
+    path = emit_jsonl((r.as_dict() for r in trace.records), out / "run.jsonl")
     print(f"wrote {path} ({trace.steps} records, exit {trace.exit_reason})")
     return 0
 
@@ -282,10 +282,13 @@ def cmd_smooth(args) -> int:
             "or smooth.box_radius", "$.smooth.lipschitz")
     out = _out_dir(args, cfg)
 
-    report = smoothing.smoothing_gap_check(
-        spec, block["points"], block["delta"], lipschitz=lipschitz,
-        samples=block["samples"], dist=block["dist"], rng=RngStream(seed),
-    )
+    try:
+        report = smoothing.smoothing_gap_check(
+            spec, block["points"], block["delta"], lipschitz=lipschitz,
+            samples=block["samples"], dist=block["dist"], rng=RngStream(seed),
+        )
+    except FloatingPointError as exc:    # delta carried the perturbed points out of range
+        raise ConfigError(str(exc), "$.smooth.delta") from exc
     payload = {
         "delta": report.delta,
         "lipschitz": report.lipschitz,
@@ -321,6 +324,8 @@ def cmd_sharpness(args) -> int:
     out = _out_dir(args, cfg)
     value = smoothing.adaptive_sharpness(spec, np.asarray(point, dtype=float),
                                          spec_sharp, rng=RngStream(seed))
+    if not math.isfinite(value):         # rho carried the perturbed points out of range
+        raise ConfigError(f"the sharpness is {value}, not a finite number", "$.sharpness.rho")
     payload = {
         "value": value,
         "rho": block["rho"],

@@ -153,12 +153,17 @@ def _unexpected(value: dict, allowed, schema: dict):
         f"Additional properties are not allowed ({listed} {verb} unexpected)")
 
 
+def _members(value, enum: list) -> list:
+    """The members of enum that value equals, compared as JSON Schema does: numbers
+    by value (2.0 is 2), bools apart from them."""
+    return [x for x in enum if value == x and isinstance(value, bool) == isinstance(x, bool)]
+
+
 # the JSON Schema 2020-12 keywords SCHEMA may use: the type each constrains (None: any) and
 # value's error message under its argument, falsy if none (jsonschema 4.26's texts)
 _KEYWORDS = {
     "type": (None, lambda v, t, _: not _is(t, v) and f"{v!r} is not of type {t!r}"),
-    "enum": (None, lambda v, e, _: not any(v == x and isinstance(v, bool) == isinstance(x, bool)
-                                           for x in e) and f"{v!r} is not one of {e!r}"),
+    "enum": (None, lambda v, e, _: not _members(v, e) and f"{v!r} is not one of {e!r}"),
     "minimum": ("number", lambda v, m, _: v < m and f"{v!r} is less than the minimum of {m!r}"),
     "exclusiveMinimum": ("number", lambda v, m, _: v <= m and (
         f"{v!r} is less than or equal to the minimum of {m!r}")),
@@ -175,14 +180,17 @@ _KEYWORDS = {
 
 
 def _checked(schema: dict, value, path: tuple, errors: list, nonfinite: list):
-    """value with the floats at "integer" nodes as ints; the first keyword it fails ends
-    its walk with (path, message) in errors, and a NaN or infinity goes to nonfinite."""
+    """value with the floats at "integer" nodes as ints and an enum's value as the
+    member it equals; the first keyword it fails ends its walk with (path, message) in
+    errors, and a NaN or infinity goes to nonfinite."""
     for key, arg in schema.items():
         kind, check = _KEYWORDS[key]
         message = (kind is None or _is(kind, value)) and check(value, arg, schema)
         if message:
             errors.append((path, message))
             return value
+    if "enum" in schema:
+        return _members(value, schema["enum"])[0]
     if isinstance(value, float):
         if not math.isfinite(value):
             nonfinite.append(path)
@@ -253,7 +261,7 @@ def build_objective(cfg: dict) -> Objective:
             params=block.get("params"),
             variance=block.get("variance", 0.0),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:      # params of the wrong type or shape
         raise ConfigError(str(exc), "$.problem") from exc
 
 

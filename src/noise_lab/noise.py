@@ -36,19 +36,19 @@ from .optimizers import Trace
 from .problems import Objective, RngStream
 
 
+def _sq_norms(v):    # over the last axis: a row gets the same sum, stacked or alone
+    return np.add.reduce(v * v, axis=-1)
+
+
 def default_burn_in(beta: float) -> int:
     """Steps to discard before noise summaries: max(100, 10/(1-beta))."""
     return max(100, math.ceil(10.0 / (1.0 - beta) - 1e-9))
 
 
 def gradient_noise_samples(spec: Objective, x, m: int, rng: RngStream) -> np.ndarray:
-    """m iid values of ||G(x) - grad f(x)|| at a fixed point."""
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
-    x = np.asarray(x, dtype=float)
-    g = spec.grad(x)
-    draws = spec.stochastic_grads(x, m, rng)
-    return np.linalg.norm(draws - g, axis=1)
+    """m iid values of ||G(x) - grad f(x)|| at a fixed point: the square roots
+    of the b = 1 minibatch deviation samples, drawn alike."""
+    return np.sqrt(minibatch_deviation_sq_samples(spec, x, 1, m, rng))
 
 
 def minibatch_deviation_sq_samples(spec: Objective, x, b: int, m: int,
@@ -57,9 +57,7 @@ def minibatch_deviation_sq_samples(spec: Objective, x, b: int, m: int,
     mean estimates C^2 / b."""
     x = np.asarray(x, dtype=float)
     g = spec.grad(x)
-    means = spec.minibatch_grad_means(x, b, m, rng)
-    d = means - g
-    return np.sum(d * d, axis=1)
+    return _sq_norms(spec.minibatch_grad_means(x, b, m, rng) - g)
 
 
 @dataclass(frozen=True)
@@ -101,18 +99,14 @@ def search_direction_noise(trace: Trace, spec: Objective,
     _, beta = trace.config.effective_eta_beta()
     if burn_in is None:
         burn_in = default_burn_in(beta)
-    n = len(trace.records)
+    n = trace.steps
     if n <= burn_in:
         raise ValueError(f"trace has {n} steps, need more than burn_in={burn_in}")
 
-    grads = trace.grads()
-    dirs = trace.directions()
-    mbs = trace.minibatch_grads()
+    grads, dirs, mbs = trace.grad, trace.search_direction, trace.minibatch_grad
 
-    omega = dirs - grads
-    omega_sq = np.sum(omega * omega, axis=1)
-    gdev = mbs - grads
-    grad_noise_sq = np.sum(gdev * gdev, axis=1)
+    omega_sq = _sq_norms(dirs - grads)
+    grad_noise_sq = _sq_norms(mbs - grads)
 
     w = slice(burn_in, n)
     mean_omega_sq = float(np.mean(omega_sq[w]))
@@ -123,9 +117,7 @@ def search_direction_noise(trace: Trace, spec: Objective,
     bound_holds = None if bound is None else bool(mean_omega_sq <= bound)
 
     # buffer lag: d_{t-1} (zero vector before the first step) vs the fresh draw
-    prev_dirs = np.vstack([np.zeros(spec.dim), dirs[:-1]])
-    lag = prev_dirs - mbs
-    lag_sq = np.sum(lag * lag, axis=1)
+    lag_sq = _sq_norms(np.vstack([np.zeros(spec.dim), dirs[:-1]]) - mbs)
     lhs = float(np.mean(lag_sq[w]))
     rhs = float(beta * (2.0 - beta) * mean_grad_noise_sq)
 

@@ -158,32 +158,11 @@ class TraceOptions:
     reference_point: Optional[np.ndarray] = None
 
 
-# the TraceRecord fields a Trace stores as columns
-COLUMNS = tuple(f.name for f in fields(TraceRecord) if f.name != "t")
-
-
-class TraceRecords(Sequence):
-    """Lazy per-step TraceRecord view of a trace's columns."""
-
-    def __init__(self, trace: "Trace"):
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return 0 if self._trace.grad is None else len(self._trace.grad)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        t = range(len(self))[i]
-        cols = {name: getattr(self._trace, name) for name in COLUMNS}
-        return TraceRecord(t=t, **{k: None if c is None else c[t] for k, c in cols.items()})
-
-
 @dataclass
 class Trace:
-    """One cell's run as a struct of arrays: each column in COLUMNS holds
-    one row per recorded step (vectors as [steps, dim]), or is None when
-    it was not recorded."""
+    """One cell's run as a struct of arrays: each TraceRecord field but t is
+    a column that holds one row per recorded step (vectors as [steps, dim]),
+    or is None when it was not recorded."""
 
     exit_reason: str          # "converged" | "step-cap" | "diverged"
     steps: int
@@ -197,17 +176,13 @@ class Trace:
     dist_to_ref: Optional[np.ndarray] = None
 
     @property
-    def records(self) -> TraceRecords:
-        return TraceRecords(self)
-
-    def grads(self) -> np.ndarray:
-        return self.grad
-
-    def directions(self) -> np.ndarray:
-        return self.search_direction
-
-    def minibatch_grads(self) -> np.ndarray:
-        return self.minibatch_grad
+    def records(self) -> list:
+        """The recorded steps as TraceRecords, or [] when nothing was recorded."""
+        if self.grad is None:
+            return []
+        cols = {f.name: getattr(self, f.name) for f in fields(TraceRecord) if f.name != "t"}
+        return [TraceRecord(t=t, **{k: None if c is None else c[t] for k, c in cols.items()})
+                for t in range(self.steps)]
 
     def xs(self) -> np.ndarray:
         if self.x_snapshot is None:

@@ -222,7 +222,7 @@ class Objective:
             raise ValueError(f"variance must be >= 0, got {variance}")
         self.dim = int(dim)
         self.variance = float(variance)
-        self._x0 = np.full(self.dim, 1.0) if x0 is None else np.asarray(x0, dtype=float).copy()
+        self._x0 = np.full(self.dim, 1.0) if x0 is None else _finite(x0, "x0").copy()
         if self._x0.shape != (self.dim,):
             raise ValueError(f"x0 has shape {self._x0.shape}, expected ({self.dim},)")
 
@@ -323,9 +323,17 @@ class Objective:
         raise NotImplementedError
 
 
+def _finite(value, what: str) -> np.ndarray:
+    """value as a float array, none of whose entries is a null (NaN) or infinite."""
+    v = np.asarray(value, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{what} has an entry that is null or not finite")
+    return v
+
+
 def _dim_vector(value, dim: int, what: str) -> np.ndarray:
     """A scalar fills every coordinate; a vector must have shape (dim,)."""
-    v = np.asarray(value, dtype=float)
+    v = _finite(value, what)
     if v.ndim and v.shape != (dim,):
         raise ValueError(f"{what} has shape {v.shape}, which does not match dim {dim}")
     return v * np.ones(dim)
@@ -338,6 +346,10 @@ class _AdditiveNoiseObjective(Objective):
     @functools.cached_property
     def noise_scale(self) -> float:
         return math.sqrt(self.variance / self.dim)
+
+    def constants(self):
+        # the gradient is unbounded globally: K^2 and L_f are trace-estimated
+        return KnownConstants(variance=self.variance)
 
     def _row_scalars(self, b, at_point):
         return b * self.dim if at_point else self.dim
@@ -383,10 +395,6 @@ class NoisyQuadratic(_AdditiveNoiseObjective):
 
     def grad_many(self, X):
         return np.asarray(X, dtype=float) * self.curvature
-
-    def constants(self):
-        # gradient is unbounded globally; K^2 and L_f are trace-estimated
-        return KnownConstants(variance=self.variance)
 
     def minimizer(self):
         return np.zeros(self.dim)
@@ -445,10 +453,10 @@ class FiniteSumLeastSquares(Objective):
     kind = "finite-sum-least-squares"
 
     def __init__(self, data, targets, variance=0.0, x0=None):
-        data = np.asarray(data, dtype=float)
+        data = _finite(data, "data")
         if data.ndim != 2:
             raise ValueError("data must be a 2-d array of sample rows")
-        targets = np.asarray(targets, dtype=float)
+        targets = _finite(targets, "targets")
         if targets.shape != (data.shape[0],):
             raise ValueError("targets length does not match data rows")
         if data.shape[0] < 1:
@@ -540,9 +548,6 @@ class SineBowl(_AdditiveNoiseObjective):
     def grad_many(self, X):
         X = np.asarray(X, dtype=float)
         return X + self.amplitude * self.frequency * np.cos(self.frequency * X)
-
-    def constants(self):
-        return KnownConstants(variance=self.variance)
 
     def lipschitz_on_box(self, radius):
         return float(math.sqrt(self.dim) * (radius + self.amplitude * self.frequency))

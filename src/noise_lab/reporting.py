@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ def emit_csv(records: Sequence[Mapping], path, columns: Sequence[str]) -> Path:
     return _write(path, "\n".join(lines) + "\n")
 
 
-def emit_jsonl(records: Sequence, path) -> Path:
+def emit_jsonl(records: Iterable, path) -> Path:
     """One compact JSON object per line."""
     return _write(path, "".join(json.dumps(rec, sort_keys=True, separators=(",", ":"),
                                            default=_jsonable) + "\n" for rec in records))

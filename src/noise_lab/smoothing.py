@@ -91,9 +91,7 @@ def degree_of_smoothing(eta: float, c_sq: float, b: int) -> float:
 
 def mean_direction_norm(dist: str, dim: int) -> float:
     """Analytic E||u|| for each perturbation distribution."""
-    if dist == "unit-sphere-uniform":
-        return 1.0
-    if dist == "gaussian-scaled":
+    if dist in ("unit-sphere-uniform", "gaussian-scaled"):
         return 1.0
     if dist == "ball-uniform":
         return dim / (dim + 1.0)
@@ -331,10 +329,7 @@ def adaptive_sharpness(f, w, sharp: SharpnessSpec, rng: Optional[RngStream] = No
         if p == "inf":
             deltas = sharp.rho * c * gen.uniform(-1.0, 1.0, size=(sharp.iters, w.size))
         else:
-            z = gen.standard_normal((sharp.iters, w.size))
-            z /= np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-300)
-            radii = gen.random((sharp.iters, 1)) ** (1.0 / w.size)
-            deltas = sharp.rho * c * (z * radii)
+            deltas = sharp.rho * c * draw_directions("ball-uniform", w.size, sharp.iters, gen)
         vals = value(w + deltas) - base
         return float(max(best, np.max(vals)))
 

@@ -258,7 +258,7 @@ def resolve_constants(spec: Objective, traces: Sequence[Trace], x_ref, beta: flo
         notes.append("C^2: configured")
     elif traces:
         dev = np.concatenate([
-            np.sum((t.minibatch_grads() - t.grads()) ** 2, axis=1) for t in traces])
+            np.sum((t.minibatch_grad - t.grad) ** 2, axis=1) for t in traces])
         c_sq = float(np.mean(dev) * traces[0].config.batch_size)
         notes.append("C^2: trace-estimated" if one else "C^2: ensemble-estimated")
     else:
@@ -267,7 +267,7 @@ def resolve_constants(spec: Objective, traces: Sequence[Trace], x_ref, beta: flo
         k_sq = consts.grad_sq_bound
         notes.append("K^2: configured")
     elif traces:
-        k_sq = max(float(np.max(np.sum(t.grads() ** 2, axis=1))) for t in traces)
+        k_sq = max(float(np.max(np.sum(t.grad ** 2, axis=1))) for t in traces)
         notes.append("K^2: trace-estimated" if one else "K^2: ensemble max of ||grad||^2")
     else:
         raise ValueError("gradient bound K^2 unknown and no trace to estimate it from")

@@ -229,6 +229,34 @@ BAD_INPUTS = {
     "empty-env-seed-verify-without-config": ("verify", [], NO_CONFIG, "",
                                              "$: NOISE_LAB_SEED must be an integer, got ''"),
     "empty-env-seed-run": ("run", [], {}, "", "$: NOISE_LAB_SEED must be an integer, got ''"),
+    # a null param becomes NaN and a param of the wrong type fails float(): both name the block
+    "curvature-null": ("run", [], {"problem": {"kind": "noisy-quadratic", "dim": 2,
+                                               "params": {"curvature": [1, None]}}},
+                       None, "$.problem: curvature diagonal has an entry that is null"),
+    "problem-x0-null": ("run", [], {"problem": {"kind": "noisy-quadratic", "dim": 2,
+                                                "params": {"x0": [1, None]}}},
+                        None, "$.problem: x0 has an entry that is null"),
+    "coefficient-null-sweep": ("sweep", [], {"problem": {"kind": "constant-gradient", "dim": 2,
+                                                         "variance": 1.0,
+                                                         "params": {"coefficient": [1, None]}}},
+                               None, "$.problem: coefficient vector has an entry that is null"),
+    "finite-sum-targets-null": ("run", [], {"problem": {
+        "kind": "finite-sum-least-squares",
+        "params": {"data": [[1.0, 0.0], [0.0, 1.0]], "targets": [1, None]}}},
+        None, "$.problem: targets has an entry that is null"),
+    "sine-amplitude-list": ("run", [], {"problem": {"kind": "nonconvex-sine-bowl", "dim": 2,
+                                                    "params": {"amplitude": [1, 2]}}},
+                            None, "$.problem"),
+    "sine-frequency-null": ("run", [], {"problem": {"kind": "nonconvex-sine-bowl", "dim": 2,
+                                                    "params": {"frequency": None}}},
+                            None, "$.problem"),
+    # a finite delta or rho can carry the perturbed points past the largest float
+    "smooth-delta-overflow": ("smooth", [], {"smooth": {"delta": 1e200, "samples": 100,
+                                                        "box_radius": 3.0}},
+                              None, "$.smooth.delta"),
+    "sharpness-rho-overflow": ("sharpness", [], {"sharpness": {"rho": 1e300, "p": 2,
+                                                               "method": "random-search"}},
+                               None, "$.sharpness.rho"),
 }
 
 
@@ -299,7 +327,8 @@ def test_unusable_output_directory_exits_2_before_running(tmp_path, capsys, monk
 
 
 # (subcommand, top-level overrides of SWEEP_CFG or SMALL_VERIFY, block, key, integral
-# value): JSON Schema counts 2.0 as an integer, so the float form passes validation
+# value): JSON Schema counts 2.0 as an integer and as the enum member 2, so the float
+# form passes validation
 INTEGRAL_FLOATS = {
     "sweep-seeds": ("sweep", {}, "sweep", "seeds", 2),
     "sweep-max-steps": ("sweep", {}, "sweep", "max_steps", 500),
@@ -308,6 +337,7 @@ INTEGRAL_FLOATS = {
     "noise-burn-in": ("noise", {"noise": {"steps": 400}}, "noise", "burn_in", 100),
     "smooth-samples": ("smooth", {"smooth": {"box_radius": 3.0}}, "smooth", "samples", 1000),
     "sharpness-iters": ("sharpness", {"sharpness": {}}, "sharpness", "iters", 10),
+    "sharpness-p": ("sharpness", {"sharpness": {"method": "random-search"}}, "sharpness", "p", 2),
     "verify-ensemble-seeds": ("verify", {}, "verify", "ensemble_seeds", 30),
 }
 

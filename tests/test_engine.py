@@ -418,9 +418,21 @@ class TestColumnarTrace:
             recs[5]
         for t, rec in enumerate(recs):
             assert rec.f_value == self.spec.value(trace.x_snapshot[t])
-            assert np.array_equal(rec.search_direction, trace.directions()[t])
+            assert np.array_equal(rec.search_direction, trace.search_direction[t])
             assert rec.dist_to_ref == np.linalg.norm(trace.xs()[t])
-            assert rec.as_dict()["grad"] == [float(v) for v in trace.grads()[t]]
+            assert rec.as_dict()["grad"] == [float(v) for v in trace.grad[t]]
+
+    def test_records_reproduce_every_column(self):
+        trace = run(self.spec, self.cfg, x0=np.array([2.0, -1.0]), max_steps=7,
+                    rng=RngStream(2), trace_options=TraceOptions(reference_point=np.ones(2)))
+        recs = trace.records
+        assert isinstance(recs, list) and len(recs) == trace.steps == 7
+        for name in COLUMNS:
+            assert np.array_equal(np.array([getattr(r, name) for r in recs]),
+                                  getattr(trace, name)), name
+        quiet = run(self.spec, self.cfg, max_steps=7, rng=RngStream(2),
+                    trace_options=TraceOptions(record=False))
+        assert quiet.records == []
 
     def test_unrecorded_columns(self):
         quiet = run(self.spec, self.cfg, max_steps=5, rng=RngStream(1),

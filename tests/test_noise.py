@@ -37,6 +37,14 @@ class TestGradientNoiseSamples:
         q = NoisyQuadratic(dim=2, variance=1.0)
         assert gradient_noise_samples(q, [0.0, 0.0], 500, RngStream(2)).shape == (500,)
 
+    @pytest.mark.parametrize("spec", [NoisyQuadratic(dim=3, variance=2.0),
+                                      ConstantGradient(dim=2, variance=1.0)])
+    def test_roots_of_the_b1_deviation_samples_bit_for_bit(self, spec):
+        x = np.linspace(-1.0, 1.0, spec.dim)
+        samples = gradient_noise_samples(spec, x, 300, RngStream(9))
+        sq = minibatch_deviation_sq_samples(spec, x, 1, 300, RngStream(9))
+        assert np.array_equal(samples, np.sqrt(sq))
+
 
 class TestSearchDirectionNoise:
     def test_sgd_noise_coincides_with_gradient_noise(self):

@@ -184,8 +184,8 @@ class TestRun:
                    x0=self.x0, max_steps=1000, rng=shared)
         assert max_rel_divergence(shb.xs(), nshb.xs()) <= 1e-10
         # the buffers differ by exactly the 1/(1-beta) normalization
-        m = shb.directions()
-        d = nshb.directions()
+        m = shb.search_direction
+        d = nshb.search_direction
         assert max_rel_divergence(m * (1 - beta), d) <= 1e-10
 
     def test_divergence_detection(self):
@@ -202,9 +202,9 @@ class TestRun:
         trace = run(spec, cfg, x0=np.zeros(2), max_steps=1200, rng=RngStream(12),
                     trace_options=TraceOptions(record_x=False, record_f=False))
         w = slice(100, None)
-        dirs = trace.directions()
-        grads = trace.grads()
-        mbs = trace.minibatch_grads()
+        dirs = trace.search_direction
+        grads = trace.grad
+        mbs = trace.minibatch_grad
         lhs = np.mean(np.sum(dirs[w] ** 2, axis=1))
         c2b = np.mean(np.sum((mbs[w] - grads[w]) ** 2, axis=1))
         k2 = np.max(np.sum(grads[w] ** 2, axis=1))

@@ -228,6 +228,15 @@ class TestAdaptiveSharpness:
         ]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
+    def test_p2_random_search_draws_ball_uniform_directions(self):
+        q = SineBowl(dim=3, amplitude=0.4, frequency=3.0)
+        w = np.array([0.2, -0.1, 0.4])
+        c = np.array([1.0, 0.5, 2.0])
+        spec = SharpnessSpec(rho=0.8, c=c, p=2, method="random-search", iters=64)
+        value = adaptive_sharpness(q, w, spec, RngStream(6))
+        deltas = 0.8 * c * draw_directions("ball-uniform", 3, 64, RngStream(6).generator())
+        assert value == max(0.0, float(np.max(q.value_many(w + deltas) - q.value(w))))
+
     def test_p2_projection_respected(self):
         q = NoisyQuadratic(dim=2)
         spec = SharpnessSpec(rho=1.0, p=2, method="sign-ascent", iters=60)
