@@ -1,16 +1,18 @@
 """Command-line entry point.
 
 Subcommands: run, sweep, noise, smooth, sharpness, verify, table1.
-Configuration comes from a single JSON file (--config); a few flags
-override their config-block counterparts. Exit status: 0 on success,
-1 when an asserted verification check fails, 2 on configuration errors.
+Configuration comes from a single JSON file (--config; verify runs
+without one); a few flags override their config-block counterparts.
+Every subcommand but table1 takes its inputs from _inputs, which checks
+the config, the flags, the point dims, the seed and --out before anything
+runs. Exit status: 0 on success, 1 when an asserted verification check
+fails, 2 on configuration errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -18,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, noise as noise_mod, smoothing, sweep as sweep_mod
-from .config import (POINT, SCHEMA, SEED_ENV_VAR, ConfigError, build_objective,
-                     build_optimizer, load_config, read_json, resolve_seed, validate_config)
+from .config import (POINT, SCHEMA, ConfigError, build_objective, build_optimizer,
+                     load_config, read_json, resolve_seed, validate_config)
 from .optimizers import TraceOptions, run as run_optimizer
 from .problems import RNG_CONTRACT, RngStream
 from .reporting import dump_json, emit_csv, emit_jsonl
@@ -64,51 +66,46 @@ def _out_dir(args, cfg) -> Path:
     return path
 
 
-def _resolved(cfg: dict, seed: int, **blocks) -> dict:
+def _inputs(args, name: str, **defaults):
+    """The objective (None for verify), the subcommand's block, the seed, the
+    resolved config and the output directory, each checked before anything runs.
+    The block is the defaults (a callable one is a function of the objective),
+    then the config's block, then every flag given that the block's schema names."""
+    verify = name == "verify"
+    if not (args.config or verify):
+        raise ConfigError("this subcommand needs --config")
+    cfg = load_config(args.config) if args.config else {}
+    spec = None if verify else build_objective(cfg)
+    fields = SCHEMA["properties"][name]["properties"]
+    block = {k: v(spec) if callable(v) else v for k, v in defaults.items()}
+    block.update(cfg.get(name, {}))
+    block.update((k, v) for k, v in vars(args).items() if k in fields)
+    # verify runs at its own default seed unless the config or NOISE_LAB_SEED sets one
+    seed = resolve_seed({"master_seed": analysis.VerifySettings().master_seed, **cfg}
+                        if verify else cfg)
     rest = {k: v for k, v in cfg.items() if k != "output_dir"}
-    return validate_config({**rest, "master_seed": seed, **blocks})
-
-
-def _block(cfg: dict, name: str, args, flags=(), **defaults) -> dict:
-    """A subcommand's config block over its defaults, with the flags given on top."""
-    block = {**defaults, **cfg.get(name, {})}
-    block.update((f, getattr(args, f)) for f in flags if getattr(args, f) is not None)
-    return block
-
-
-def _check_dims(block: dict, name: str, dim: int) -> None:
-    """Every point of the block, a POINT field or one of an array of them,
-    has the problem's dim coordinates."""
-    for key, schema in SCHEMA["properties"][name]["properties"].items():
+    resolved = validate_config({**rest, "master_seed": seed, name: block})
+    # every point, a POINT field or one of an array of them, has the problem's dim coordinates
+    for key, schema in fields.items():
         value = block.get(key)
         if value is None or POINT not in (schema, schema.get("items")):
             continue
         for point in ([value] if schema == POINT else value):
-            if len(point) != dim:
+            if len(point) != spec.dim:
                 raise ConfigError(f"{len(point)} coordinates do not match the problem's "
-                                  f"dim {dim}", f"$.{name}.{key}")
+                                  f"dim {spec.dim}", f"$.{name}.{key}")
+    return spec, block, seed, resolved, _out_dir(args, cfg)
 
 
-def _dump_report(payload: dict, path: Path) -> Path:
-    """Write a JSON report stamped with the stream contract its draws follow."""
-    return dump_json(dict(payload, rng_contract=RNG_CONTRACT), path)
-
-
-def _require_config(args) -> dict:
-    if not args.config:
-        raise ConfigError("this subcommand needs --config")
-    return load_config(args.config)
+def _dump_report(payload: dict, path: Path, resolved: dict) -> Path:
+    """Write a JSON report stamped with its resolved config and the stream
+    contract its draws follow."""
+    return dump_json(dict(payload, config=resolved, rng_contract=RNG_CONTRACT), path)
 
 
 def cmd_run(args) -> int:
-    cfg = _require_config(args)
-    spec = build_objective(cfg)
-    opt = build_optimizer(cfg)
-    block = _block(cfg, "run", args, max_steps=1000, record_x=True)
-    seed = resolve_seed(cfg)
-    _check_dims(block, "run", spec.dim)
-    out = _out_dir(args, cfg)
-
+    spec, block, seed, resolved, out = _inputs(args, "run", max_steps=1000, record_x=True)
+    opt = build_optimizer(resolved)
     stop = sweep_mod.StopRule(epsilon=block["epsilon"]) if "epsilon" in block else None
     trace = run_optimizer(
         spec, opt, x0=block.get("x0"), stop=stop, max_steps=block["max_steps"],
@@ -140,22 +137,15 @@ def _stop_rule_from(block: dict, spec) -> sweep_mod.StopRule:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _require_config(args)
-    block = _block(cfg, "sweep", args, ("batch_grid", "epsilon", "seeds", "max_steps"),
-                   batch_grid=list(DEFAULT_BATCH_GRID), seeds=3, max_steps=30_000)
+    spec, block, seed, resolved, out = _inputs(
+        args, "sweep", batch_grid=list(DEFAULT_BATCH_GRID), seeds=3, max_steps=30_000)
     if "epsilon" not in block:
         raise ConfigError("sweep needs an epsilon (flag or config)", "$.sweep.epsilon")
-    seed = resolve_seed(cfg)
-    resolved = _resolved(cfg, seed, sweep=block)
     if block["batch_grid"] != sorted(set(block["batch_grid"])):
         raise ConfigError(f"batch sizes must be strictly ascending, got {block['batch_grid']}",
-                          "--batch-grid" if args.batch_grid else "$.sweep.batch_grid")
-
-    spec = build_objective(resolved)
+                          "--batch-grid" if hasattr(args, "batch_grid") else "$.sweep.batch_grid")
     opt = build_optimizer(resolved)
-    _check_dims(block, "sweep", spec.dim)
     stop = _stop_rule_from(block, spec)
-    out = _out_dir(args, cfg)
     summary = sweep_mod.run_sweep(
         spec, opt, block["batch_grid"], block["seeds"], stop, block["max_steps"],
         x0=block.get("x0"), master_seed=seed,
@@ -169,8 +159,7 @@ def cmd_sweep(args) -> int:
     print(f"wrote {p2} ({len(summary.per_batch)} batch sizes)")
 
     critical = _critical_report(spec, opt, stop, block, summary, seed)
-    critical["config"] = resolved
-    p3 = _dump_report(critical, out / "critical.json")
+    p3 = _dump_report(critical, out / "critical.json", resolved)
     print(f"wrote {p3} (empirical b* = {critical['empirical_b_star']})")
     return 0
 
@@ -228,18 +217,12 @@ def _critical_report(spec, opt, stop, block, summary, seed) -> dict:
 
 
 def cmd_noise(args) -> int:
-    cfg = _require_config(args)
-    spec = build_objective(cfg)
-    opt = build_optimizer(cfg)
-    block = _block(cfg, "noise", args, steps=1500)
-    seed = resolve_seed(cfg)
-    resolved = _resolved(cfg, seed, noise=block)
+    spec, block, seed, resolved, out = _inputs(args, "noise", steps=1500)
+    opt = build_optimizer(resolved)
     burn_in = block.get("burn_in", noise_mod.default_burn_in(opt.effective_eta_beta()[1]))
     if block["steps"] <= burn_in:
         raise ConfigError(f"{block['steps']} steps leave nothing after a burn-in of {burn_in}",
                           "$.noise.steps")
-    _check_dims(block, "noise", spec.dim)
-    out = _out_dir(args, cfg)
 
     trace = run_optimizer(
         spec, opt, x0=block.get("x0"), max_steps=block["steps"],
@@ -253,24 +236,17 @@ def cmd_noise(args) -> int:
     p1 = emit_csv(list(report.rows()), out / "noise.csv",
                   ["t", "grad_noise_sq", "omega_sq"])
     print(f"wrote {p1} ({trace.steps} steps)")
-    p2 = _dump_report({"summary": report.summary, "config": resolved},
-                      out / "noise.json")
+    p2 = _dump_report({"summary": report.summary}, out / "noise.json", resolved)
     print(f"wrote {p2} (mean omega^2 = {report.summary.mean_omega_sq:.6g})")
     return 0
 
 
 def cmd_smooth(args) -> int:
-    cfg = _require_config(args)
-    spec = build_objective(cfg)
-    block = _block(cfg, "smooth", args, ("delta", "dist", "samples"), delta=0.1,
-                   dist="unit-sphere-uniform", samples=100_000,
-                   points=[[float(v) for v in spec.default_start()]])
     if args.points_file:
-        block["points"] = read_json(args.points_file, "--points-file")
-    seed = resolve_seed(cfg)
-    resolved = _resolved(cfg, seed, smooth=block)
-    _check_dims(block, "smooth", spec.dim)
-
+        args.points = read_json(args.points_file, "--points-file")
+    spec, block, seed, resolved, out = _inputs(
+        args, "smooth", delta=0.1, dist="unit-sphere-uniform", samples=100_000,
+        points=lambda spec: [[float(v) for v in spec.default_start()]])
     lipschitz = block.get("lipschitz")
     if lipschitz is None and "box_radius" in block:
         lipschitz = spec.lipschitz_on_box(block["box_radius"])
@@ -280,7 +256,6 @@ def cmd_smooth(args) -> int:
         raise ConfigError(
             "objective has no known Lipschitz constant; set smooth.lipschitz "
             "or smooth.box_radius", "$.smooth.lipschitz")
-    out = _out_dir(args, cfg)
 
     try:
         report = smoothing.smoothing_gap_check(
@@ -297,22 +272,15 @@ def cmd_smooth(args) -> int:
         "points": [{"pass" if k == "passed" else k: v for k, v in asdict(p).items()}
                    for p in report.points],
         "all_pass": report.all_passed,
-        "config": resolved,
     }
-    path = _dump_report(payload, out / "smooth.json")
+    path = _dump_report(payload, out / "smooth.json", resolved)
     print(f"wrote {path} ({len(report.points)} points, all_pass={report.all_passed})")
     return 0
 
 
 def cmd_sharpness(args) -> int:
-    cfg = _require_config(args)
-    spec = build_objective(cfg)
-    block = _block(cfg, "sharpness", args, ("rho", "p", "iters", "method"),
-                   rho=0.5, p="inf", iters=50, method="sign-ascent")
-    seed = resolve_seed(cfg)
-    resolved = _resolved(cfg, seed, sharpness=block)
-
-    _check_dims(block, "sharpness", spec.dim)
+    spec, block, seed, resolved, out = _inputs(
+        args, "sharpness", rho=0.5, p="inf", iters=50, method="sign-ascent")
     point = block.get("point", [float(v) for v in spec.default_start()])
     try:
         spec_sharp = smoothing.SharpnessSpec(
@@ -321,7 +289,6 @@ def cmd_sharpness(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc), "$.sharpness") from exc
-    out = _out_dir(args, cfg)
     value = smoothing.adaptive_sharpness(spec, np.asarray(point, dtype=float),
                                          spec_sharp, rng=RngStream(seed))
     if not math.isfinite(value):         # rho carried the perturbed points out of range
@@ -333,35 +300,26 @@ def cmd_sharpness(args) -> int:
         "iters": block["iters"],
         "method": block["method"],
         "point": [float(v) for v in point],
-        "config": resolved,
     }
-    path = _dump_report(payload, out / "sharpness.json")
+    path = _dump_report(payload, out / "sharpness.json", resolved)
     print(f"wrote {path} (sharpness = {value:.6g})")
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    block = _block(cfg, "verify", args)
-    if "master_seed" in cfg or SEED_ENV_VAR in os.environ:
-        seed = resolve_seed(cfg)
-    else:
-        seed = analysis.VerifySettings().master_seed
+    _, block, seed, resolved, out = _inputs(args, "verify")
     settings = analysis.VerifySettings(master_seed=seed, **block)
-    out = _out_dir(args, cfg)
     results = analysis.run_verify_suite(settings)
     all_asserted = all(r.holds for r in results if r.asserted)
     for r in results:
         status = "pass" if r.holds else ("FAIL" if r.asserted else "reported-false")
         kind = "asserted" if r.asserted else "diagnostic"
         print(f"  [{status}] {r.check} ({kind}): lhs={r.lhs:.6g} rhs={r.rhs:.6g}")
-    resolved = _resolved(cfg, settings.master_seed, verify=block)
     payload = {
         "checks": [dict(asdict(r), margin=r.margin) for r in results],
         "all_asserted_hold": all_asserted,
-        "config": resolved,
     }
-    path = _dump_report(payload, out / "verify.json")
+    path = _dump_report(payload, out / "verify.json", resolved)
     print(f"wrote {path} ({len(results)} checks, all asserted hold: {all_asserted})")
     return 0 if all_asserted else 1
 
@@ -385,19 +343,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _int_at_least(low: int):
+    # argparse names the type function in its message for a non-integer: one name for all
+    def _positive_int(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return _positive_int
+
+
 def _int_list(text: str) -> list:
     try:
-        return [_positive_int(v) for v in text.split(",")]
+        return [_int_at_least(1)(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma separated integers, got {text!r}") from None
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,49 +370,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     jobs_help = "accepted and ignored (kept for scripts); cells run in one ordered loop"
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--out", help="output directory (default: config output_dir or .)")
+    def command(name, handler, help):
+        # a block flag not given stays unset, so _inputs keeps the config's value
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", default=None, help="JSON experiment config")
+        p.add_argument("--out", default=None,
+                       help="output directory (default: config output_dir or .)")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("run", help="run one optimizer trace, export JSONL")
-    common(p)
-    p.set_defaults(handler=cmd_run)
+    command("run", cmd_run, "run one optimizer trace, export JSONL")
 
-    p = sub.add_parser("sweep", help="batch-size sweep with critical-batch report")
-    common(p)
+    p = command("sweep", cmd_sweep, "batch-size sweep with critical-batch report")
     p.add_argument("--batch-grid", type=_int_list, help="comma separated batch sizes")
     p.add_argument("--epsilon", type=_finite_float)
-    p.add_argument("--seeds", type=_positive_int)
-    p.add_argument("--max-steps", type=_positive_int)
-    p.add_argument("--jobs", type=_positive_int, default=1, help=jobs_help)
-    p.set_defaults(handler=cmd_sweep)
+    p.add_argument("--seeds", type=_int_at_least(1))
+    p.add_argument("--max-steps", type=_int_at_least(1))
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=jobs_help)
 
-    p = sub.add_parser("noise", help="per-step noise norms and summary")
-    common(p)
-    p.set_defaults(handler=cmd_noise)
+    command("noise", cmd_noise, "per-step noise norms and summary")
 
-    p = sub.add_parser("smooth", help="smoothed-value gap check")
-    common(p)
+    p = command("smooth", cmd_smooth, "smoothed-value gap check")
     p.add_argument("--delta", type=_finite_float)
     p.add_argument("--dist", choices=list(smoothing.DISTRIBUTIONS))
-    p.add_argument("--samples", type=_positive_int)
-    p.add_argument("--points-file", help="JSON array of points")
-    p.set_defaults(handler=cmd_smooth)
+    # one sample leaves the standard error, and so the gap allowance, undefined
+    p.add_argument("--samples", type=_int_at_least(2))
+    p.add_argument("--points-file", default=None, help="JSON array of points")
 
-    p = sub.add_parser("sharpness", help="worst-case adaptive sharpness lower bound")
-    common(p)
+    p = command("sharpness", cmd_sharpness, "worst-case adaptive sharpness lower bound")
     p.add_argument("--rho", type=_finite_float)
     # the config's p is the int 2 or the string "inf"
     p.add_argument("--p", type=lambda s: 2 if s == "2" else s, choices=[2, "inf"])
-    p.add_argument("--iters", type=_positive_int)
+    p.add_argument("--iters", type=_int_at_least(1))
     p.add_argument("--method", choices=list(smoothing.SHARPNESS_METHODS))
-    p.set_defaults(handler=cmd_sharpness)
 
-    p = sub.add_parser("verify", help="run the identity/bound suite")
-    common(p)
-    p.add_argument("--jobs", type=_positive_int, default=1, help=jobs_help)
-    p.set_defaults(handler=cmd_verify)
+    p = command("verify", cmd_verify, "run the identity/bound suite")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=jobs_help)
 
     p = sub.add_parser("table1", help="print the built-in variance back-estimation fixture")
     p.add_argument("--out", help="also write table1.txt here")

@@ -15,8 +15,10 @@ import numbers
 import os
 from pathlib import Path
 
-from .optimizers import OptimizerConfig
+from .optimizers import ALGOS, OptimizerConfig
 from .problems import KINDS, Objective, make_objective
+from .smoothing import DISTRIBUTIONS, SHARPNESS_METHODS
+from .sweep import STOP_KINDS
 
 SEED_ENV_VAR = "NOISE_LAB_SEED"
 
@@ -46,7 +48,7 @@ SCHEMA = {
             "additionalProperties": False,
             "required": ["algo"],
             "properties": {
-                "algo": {"enum": ["sgd", "nshb", "shb"]},
+                "algo": {"enum": list(ALGOS)},
                 "eta": {"type": "number", "exclusiveMinimum": 0},
                 "beta": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
                 "gamma": {"type": "number", "exclusiveMinimum": 0},
@@ -74,7 +76,7 @@ SCHEMA = {
                 "epsilon": {"type": "number", "exclusiveMinimum": 0},
                 "seeds": {"type": "integer", "minimum": 1},
                 "max_steps": {"type": "integer", "minimum": 1},
-                "stop_kind": {"enum": ["cumulative-grad-norm", "inner-product"]},
+                "stop_kind": {"enum": list(STOP_KINDS)},
                 "use_minibatch_norm": {"type": "boolean"},
                 "x0": POINT,
                 "reference_point": POINT,
@@ -94,8 +96,9 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "delta": {"type": "number", "minimum": 0},
-                "dist": {"enum": ["unit-sphere-uniform", "gaussian-scaled", "ball-uniform"]},
-                "samples": {"type": "integer", "minimum": 1},
+                "dist": {"enum": list(DISTRIBUTIONS)},
+                # one sample leaves the standard error, and so the gap allowance, undefined
+                "samples": {"type": "integer", "minimum": 2},
                 "points": {"type": "array", "items": POINT, "minItems": 1},
                 "lipschitz": {"type": "number", "exclusiveMinimum": 0},
                 "box_radius": {"type": "number", "exclusiveMinimum": 0},
@@ -108,7 +111,7 @@ SCHEMA = {
                 "rho": {"type": "number", "minimum": 0},
                 "p": {"enum": [2, "inf"]},
                 "iters": {"type": "integer", "minimum": 1},
-                "method": {"enum": ["random-search", "sign-ascent"]},
+                "method": {"enum": list(SHARPNESS_METHODS)},
                 "point": POINT,
                 "c": POINT,
             },

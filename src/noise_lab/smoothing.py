@@ -170,6 +170,9 @@ def smoothed_value(f, x, smoothing: SmoothingSpec, rng: RngStream,
             raise FloatingPointError("non-finite objective value inside the smoothing average")
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals * vals))
+        if not math.isfinite(total_sq):     # inf - inf would read as a variance of 0
+            raise FloatingPointError("the squared objective values inside the smoothing "
+                                     "average overflow")
         norm_total += float(np.sum(np.linalg.norm(u, axis=1)))
         done += take
     mean = total / m
@@ -210,6 +213,8 @@ def smoothing_gap_check(f, points, delta: float, lipschitz: Optional[float] = No
             lipschitz = f.constants().lipschitz
         if lipschitz is None:
             raise ValueError("Lipschitz constant unknown; pass lipschitz= explicitly")
+    if samples < 2:     # one sample has no standard error, so no Monte-Carlo allowance
+        raise ValueError(f"the gap check needs samples >= 2, got {samples}")
     rng = rng or RngStream(0)
     spec = SmoothingSpec(delta=delta, dist=dist, samples=samples)
     results = []

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noise_lab import sweep as sweep_mod
+from noise_lab import analysis, cli, smoothing, sweep as sweep_mod
 from noise_lab.cli import fixture_table_text, main
 from noise_lab.config import POINT, SCHEMA, ConfigError, build_objective, validate_config
 from noise_lab.reporting import dump_json, emit_csv, emit_jsonl
@@ -176,7 +176,12 @@ BAD_INPUTS = {
     "sweep-batch-grid-zero-flag": ("sweep", ["--batch-grid", "0,8"], {}, None,
                                    "argument --batch-grid: must be >= 1"),
     "smooth-samples-zero-flag": ("smooth", ["--samples", "0"], {}, None,
-                                 "argument --samples: must be >= 1"),
+                                 "argument --samples: must be >= 2"),
+    # one sample has no standard error: smooth.json would hold "std_error": Infinity
+    "smooth-samples-one-flag": ("smooth", ["--samples", "1"], {"smooth": {"box_radius": 1.0}},
+                                None, "argument --samples: must be >= 2, got 1"),
+    "smooth-samples-one-config": ("smooth", [], {"smooth": {"samples": 1, "box_radius": 1.0}},
+                                  None, "$.smooth.samples: 1 is less than the minimum of 2"),
     "sharpness-iters-zero-flag": ("sharpness", ["--iters", "0"], {}, None,
                                   "argument --iters: must be >= 1"),
     "sweep-seeds-zero-config": ("sweep", [], {"sweep": dict(SWEEP_CFG["sweep"], seeds=0)}, None,
@@ -254,6 +259,10 @@ BAD_INPUTS = {
     "smooth-delta-overflow": ("smooth", [], {"smooth": {"delta": 1e200, "samples": 100,
                                                         "box_radius": 3.0}},
                               None, "$.smooth.delta"),
+    # finite values whose squares overflow: the variance would be inf - inf, read as 0
+    "smooth-second-moment-overflow": ("smooth", [], {"smooth": {"delta": 1e100, "samples": 1000,
+                                                                "box_radius": 3.0}},
+                                      None, "$.smooth.delta: the squared objective values"),
     "sharpness-rho-overflow": ("sharpness", [], {"sharpness": {"rho": 1e300, "p": 2,
                                                                "method": "random-search"}},
                                None, "$.sharpness.rho"),
@@ -303,19 +312,30 @@ def test_every_point_field_is_dim_checked(tmp_path, capsys, name, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,where", [("sweep", "--out"), ("sweep", "--out-parent"),
-                                           ("sweep", "$.output_dir"), ("table1", "--out"),
-                                           ("table1", "--out-parent")])
+# the call of each subcommand that does its work, which must not run when --out is unusable
+WORK_CALLS = {"run": (cli, "run_optimizer"), "sweep": (sweep_mod, "run_sweep"),
+              "noise": (cli, "run_optimizer"), "smooth": (smoothing, "smoothing_gap_check"),
+              "sharpness": (smoothing, "adaptive_sharpness"),
+              "verify": (analysis, "run_verify_suite")}
+
+
+@pytest.mark.parametrize("command,where", [
+    ("sweep", "--out"), ("sweep", "--out-parent"), ("sweep", "$.output_dir"),
+    ("table1", "--out"), ("table1", "--out-parent"),
+    *((command, where) for command in ("run", "noise", "smooth", "sharpness", "verify")
+      for where in ("--out", "--out-parent", "$.output_dir"))])
 def test_unusable_output_directory_exits_2_before_running(tmp_path, capsys, monkeypatch,
                                                           command, where):
-    def no_cells(*args, **kwargs):
-        raise AssertionError("a cell ran before the output directory was checked")
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the output directory was checked")
 
-    monkeypatch.setattr(sweep_mod, "run_sweep", no_cells)
+    if command in WORK_CALLS:
+        monkeypatch.setattr(*WORK_CALLS[command], no_work)
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory\n")
     out = str(blocker / "sub" if where == "--out-parent" else blocker)
-    cfg = dict(SWEEP_CFG, output_dir=out) if where == "$.output_dir" else SWEEP_CFG
+    base = SMALL_VERIFY if command == "verify" else dict(SWEEP_CFG, smooth={"box_radius": 3.0})
+    cfg = dict(base, output_dir=out) if where == "$.output_dir" else base
     argv = [command] if command == "table1" else [command, "--config", write_cfg(tmp_path, cfg)]
     if where != "$.output_dir":
         argv += ["--out", out]
@@ -607,14 +627,26 @@ class TestDeterminism:
             assert main([cmd, "--config", path, "--out", str(out2)]) == 0
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_config_round_trip_reproduces_report(self, tmp_path, capsys):
-        """Re-running from the config embedded in critical.json reproduces
-        the artifacts byte for byte."""
-        cfg = write_cfg(tmp_path, SWEEP_CFG)
+    @pytest.mark.parametrize("command", ["sweep", "noise", "smooth", "sharpness", "verify"])
+    def test_config_round_trip_reproduces_report(self, tmp_path, capsys, monkeypatch, command):
+        """Re-running from the config embedded in the report, with no flags and
+        no NOISE_LAB_SEED, reproduces every artifact byte for byte."""
+        points = write_cfg(tmp_path, [[0.5, -0.5], [1.0, 2.0]], name="points.json")
+        flags = {"smooth": ["--points-file", points, "--delta", "0.2", "--samples", "2000"],
+                 "sharpness": ["--rho", "0.3", "--p", "2", "--iters", "20"]}.get(command, [])
+        base = dict(SWEEP_CFG, noise={"steps": 300}, smooth={"box_radius": 3.0})
+        if command == "verify":
+            base = SMALL_VERIFY
+            monkeypatch.setenv("NOISE_LAB_SEED", "7")
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
-        embedded = json.loads((out1 / "critical.json").read_text())["config"]
+        assert main([command, "--config", write_cfg(tmp_path, base), "--out", str(out1),
+                     *flags]) == 0
+        report = next(p for p in out1.iterdir() if p.suffix == ".json")
+        embedded = json.loads(report.read_text())["config"]
+        monkeypatch.delenv("NOISE_LAB_SEED", raising=False)
         cfg2 = write_cfg(tmp_path, embedded, name="embedded.json")
-        assert main(["sweep", "--config", cfg2, "--out", str(out2)]) == 0
-        for name in ("sweep.csv", "summary.csv", "critical.json"):
+        assert main([command, "--config", cfg2, "--out", str(out2)]) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()

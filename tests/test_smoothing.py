@@ -107,6 +107,14 @@ class TestSmoothedValue:
                             RngStream(4))
         np.testing.assert_allclose(sv.mean_direction_norm, 1.0, rtol=1e-9)
 
+    def test_overflowing_squares_raise(self):
+        """Values near 1e200 are finite but their squares are not: the variance
+        would be inf - inf, which once read as a standard error of 0."""
+        q = NoisyQuadratic(dim=2, curvature=[1.0, 2.0])
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="overflow"):
+            smoothed_value(q, np.zeros(2), SmoothingSpec(delta=1e100, samples=1000),
+                           RngStream(0))
+
 
 class TestSmoothingGapCheck:
     def test_delta_zero_all_gaps_zero(self):
@@ -139,6 +147,14 @@ class TestSmoothingGapCheck:
         q = NoisyQuadratic(dim=2)   # no global Lipschitz constant
         with pytest.raises(ValueError):
             smoothing_gap_check(q, [np.zeros(2)], delta=0.1, rng=RngStream(0))
+
+    def test_one_sample_rejected(self):
+        """One sample has no standard error, so the gap has no allowance."""
+        c = ConstantGradient(dim=2, coefficient=[1.0, 1.0])
+        with pytest.raises(ValueError, match="samples >= 2"):
+            smoothing_gap_check(c, [np.zeros(2)], delta=0.1, samples=1, rng=RngStream(0))
+        assert smoothing_gap_check(c, [np.zeros(2)], delta=0.1, samples=2,
+                                   rng=RngStream(0)).points[0].std_error < float("inf")
 
     def test_objective_constant_used_by_default(self):
         c = ConstantGradient(dim=2, coefficient=[3.0, 4.0])   # L_f = 5
