@@ -245,10 +245,11 @@ def run_verify_suite(settings: Optional[VerifySettings] = None) -> list:
     """The default identity-and-bound battery. Diagnostics report the two
     momentum inequalities whose general validity the measurements decide.
     Asserted checks compare Monte-Carlo estimates with fixed tolerances, so
-    small budgets fail them on a correct program: at the schema floors,
-    minibatch-variance-scaling (variance_draws=1000) failed for 70 of 200
-    master seeds and minibatch-second-moment-bound (noise_steps=400) for 34
-    of 300."""
+    small budgets fail them on a correct program: with every budget at its
+    schema floor (variance_draws=1000, noise_steps=200, ensemble_seeds=30,
+    ensemble_steps=10, identity_triples=100, replicas=100), master seeds
+    0-99 failed minibatch-variance-scaling 38 times and
+    minibatch-second-moment-bound 19 times, and no other asserted check."""
     s = settings or VerifySettings()
     rng = RngStream(s.master_seed)
     results = []

@@ -85,7 +85,8 @@ class OptimizerState:
 
 def _check_grad(g) -> np.ndarray:
     g = np.asarray(g, dtype=float)
-    if not np.isfinite(g).all():
+    # a NaN or infinite entry makes the max NaN or inf; an empty g passes
+    if not np.maximum.reduce(np.abs(g), axis=None, initial=0.0) < np.inf:
         raise FloatingPointError("non-finite gradient passed to optimizer step")
     return g
 
@@ -238,7 +239,17 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
         x_t = state.x
         g = grad_many(x_t)
         gb = draw(x_t, b, [s.generator(t) for s in live_streams], g)
-        step(state, gb, *step_args)
+        try:
+            step(state, gb, *step_args)
+        except FloatingPointError:
+            # a row whose minibatch gradient is not finite has no next iterate:
+            # the other rows step, and its iterate and buffer become NaN, which
+            # the divergence test below ends at step t + 1
+            finite = np.maximum.reduce(np.abs(gb), axis=1) < np.inf
+            stepped = OptimizerState(state.x[finite], state.momentum[finite])
+            step(stepped, gb[finite], *step_args)
+            state.x, state.momentum = np.full_like(x_t, np.nan), np.full_like(x_t, np.nan)
+            state.x[finite], state.momentum[finite] = stepped.x, stepped.momentum
         direction = state.momentum if momentum else gb
 
         if record:
@@ -253,23 +264,31 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
             if ref is not None:
                 cols["dist_to_ref"][rows, t] = [np.linalg.norm(row - ref) for row in x_t]
 
-        # a NaN or infinite coordinate fails the comparison too
-        diverged = ~(np.maximum.reduce(np.abs(state.x), axis=1) <= DIVERGENCE_LIMIT)
-        done = diverged.tolist() if accs is None else [
-            d or acc.observe(t, g[i], gb[i], x_t[i])
-            for i, (d, acc) in enumerate(zip(diverged.tolist(), accs))]
-        if any(done):
-            done = np.array(done)
-            steps[live[done]] = t + 1
-            exit_reason[live[done]] = np.where(diverged[done], "diverged", "converged")
-            x_final[live[done]] = state.x[done]
-            keep = ~done
-            live, state.x, state.momentum = live[keep], state.x[keep], state.momentum[keep]
-            live_streams = [s for s, k in zip(live_streams, keep) if k]
-            if accs is not None:
-                accs = [a for a, k in zip(accs, keep) if k]
-            if not live.size:
-                break
+        # one test of the whole stack, row by row only when it fails; a NaN or
+        # infinite coordinate fails the comparison too
+        if np.maximum.reduce(np.abs(state.x), axis=None, initial=0.0) <= DIVERGENCE_LIMIT:
+            if accs is None:
+                continue
+            done = [acc.observe(t, g[i], gb[i], x_t[i]) for i, acc in enumerate(accs)]
+            if not any(done):
+                continue
+            diverged = np.zeros(live.size, dtype=bool)
+        else:
+            diverged = ~(np.maximum.reduce(np.abs(state.x), axis=1) <= DIVERGENCE_LIMIT)
+            done = diverged.tolist() if accs is None else [
+                d or acc.observe(t, g[i], gb[i], x_t[i])
+                for i, (d, acc) in enumerate(zip(diverged.tolist(), accs))]
+        done = np.array(done)
+        steps[live[done]] = t + 1
+        exit_reason[live[done]] = np.where(diverged[done], "diverged", "converged")
+        x_final[live[done]] = state.x[done]
+        keep = ~done
+        live, state.x, state.momentum = live[keep], state.x[keep], state.momentum[keep]
+        live_streams = [s for s, k in zip(live_streams, keep) if k]
+        if accs is not None:
+            accs = [a for a, k in zip(accs, keep) if k]
+        if not live.size:
+            break
     x_final[live] = state.x
 
     return [Trace(exit_reason=exit_reason[c], steps=int(steps[c]), config=config,

@@ -50,7 +50,7 @@ KINDS = (
 )
 
 # most scalars one block of Monte-Carlo draws holds: 1 MB of float64, the
-# explicit draws of one b = 8192 minibatch mean at dim 16
+# explicit draws of one b = 4096 minibatch mean at dim 16 held twice
 _CHUNK_SCALARS = 1 << 17
 # stream contract written into every report: 2 draws an additive step's mean directly
 RNG_CONTRACT = 2
@@ -214,6 +214,8 @@ class Objective:
     stochastic layer lives here."""
 
     kind: str = ""
+    # whether _minibatch_block reads the rows' exact gradients G
+    _draw_uses_grad = True
 
     def __init__(self, dim: int, variance: float = 0.0, x0: Optional[Sequence[float]] = None):
         if dim < 1:
@@ -281,13 +283,17 @@ class Objective:
         return self._draw_blocks(np.broadcast_to(x, (m, self.dim)), b, rng.generator(),
                                  np.broadcast_to(self.grad(x), (m, self.dim)), at_point=True)
 
-    def minibatch_grad_ensemble(self, X: np.ndarray, b: int, gens, G: np.ndarray) -> np.ndarray:
+    def minibatch_grad_ensemble(self, X: np.ndarray, b: int, gens,
+                                G: Optional[np.ndarray] = None) -> np.ndarray:
         """One minibatch gradient per row of X (independent draws), (m, dim),
-        given G, the rows' exact gradients, and one np.random.Generator for
-        all rows or a sequence of one per row. Row r has the law of
+        given one np.random.Generator for all rows or a sequence of one per
+        row, and G, the rows' exact gradients (computed here when None, and
+        only by a kind whose draw reads them). Row r has the law of
         minibatch_grad(X[r], b, ...); the additive kinds draw its mean
         directly as dim normals, so their bits agree with it only at b = 1."""
         X = np.asarray(X, dtype=float)
+        if G is None and self._draw_uses_grad:
+            G = self.grad_many(X)
         if isinstance(gens, np.random.Generator):
             return self._draw_blocks(X, b, gens, G)
         if len(gens) != X.shape[0]:
@@ -308,8 +314,8 @@ class Objective:
             return self._minibatch_block(X, b, gen, G, at_point)
         out = np.empty((X.shape[0], self.dim))
         for lo in range(0, X.shape[0], rows):
-            out[lo:lo + rows] = self._minibatch_block(X[lo:lo + rows], b, gen, G[lo:lo + rows],
-                                                      at_point)
+            out[lo:lo + rows] = self._minibatch_block(
+                X[lo:lo + rows], b, gen, None if G is None else G[lo:lo + rows], at_point)
         return out
 
     def _row_scalars(self, b, at_point) -> int:     # what one row of a block holds
@@ -352,21 +358,38 @@ class _AdditiveNoiseObjective(Objective):
         return KnownConstants(variance=self.variance)
 
     def _row_scalars(self, b, at_point):
-        return b * self.dim if at_point else self.dim
+        # the means at a point of dim >= 2 hold their draws twice: as drawn and
+        # transposed for the sum
+        return (2 if self.dim > 1 else 1) * b * self.dim if at_point else self.dim
 
     def _minibatch_block(self, X, b, gens, G, at_point):
         # means at a point average b real draws; a step draws the mean of b iid
         # N(0, s^2) as one N(0, s^2 / b), exact in law and the same bits at b = 1
         if self.variance == 0.0:
             return G.copy()
-        noise = np.empty((X.shape[0], b, self.dim) if at_point else X.shape)
+        shape = (X.shape[0], b, self.dim) if at_point else X.shape
         if isinstance(gens, np.random.Generator):
-            gens.standard_normal(out=noise)
+            noise = gens.standard_normal(shape)
+        elif len(gens) == 1:                    # a one-row stack, as a run steps
+            noise = gens[0].standard_normal(shape)
         else:
+            noise = np.empty(shape)
             for r, gen in enumerate(gens):      # indexing beats iterating over noise's rows
                 gen.standard_normal(out=noise[r])
-        noise *= self.noise_scale
-        return G + (np.add.reduce(noise, axis=1) / b if at_point else noise / math.sqrt(b))
+        if not at_point:
+            noise *= self.noise_scale
+            return G + noise / math.sqrt(b)
+        if self.dim == 1:       # numpy sums a contiguous axis pairwise: keep those bits
+            noise *= self.noise_scale
+            return G + np.add.reduce(noise, axis=1) / b
+        # the same sequential sum over b of each (row, coordinate), but with the
+        # draws scaled into a copy with b outermost every add runs over rows * dim
+        # values; the copy is fastest with rows innermost up to dim 4
+        axes = (1, 2, 0) if self.dim <= 4 else (1, 0, 2)
+        terms = noise.transpose(axes)
+        terms = np.multiply(terms, self.noise_scale, out=np.empty(terms.shape))
+        sums = np.add.reduce(terms, axis=0)
+        return G + (sums.T if self.dim <= 4 else sums) / b
 
 
 class NoisyQuadratic(_AdditiveNoiseObjective):
@@ -451,6 +474,7 @@ class FiniteSumLeastSquares(Objective):
     """
 
     kind = "finite-sum-least-squares"
+    _draw_uses_grad = False     # a draw gathers per-sample gradients
 
     def __init__(self, data, targets, variance=0.0, x0=None):
         data = _finite(data, "data")

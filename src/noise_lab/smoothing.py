@@ -272,7 +272,7 @@ def gd_vs_nshb_expectation(spec: Objective, x_start, eta: float, beta: float,
     X = np.tile(x_start, (replicas, 1))
     D = np.zeros_like(X)
     for t in range(burn_in):
-        G = spec.minibatch_grad_ensemble(X, batch_size, rng.generator(t), spec.grad_many(X))
+        G = spec.minibatch_grad_ensemble(X, batch_size, rng.generator(t))
         D = (1.0 - beta) * G + beta * D
         X = X - eta * D
         if not np.all(np.isfinite(X)):

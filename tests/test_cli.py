@@ -287,6 +287,23 @@ def test_bad_input_exits_2_naming_its_path(tmp_path, capsys, monkeypatch, case):
     assert not out.exists()
 
 
+def test_non_finite_minibatch_gradient_ends_cells_as_diverged(tmp_path, capsys):
+    """curvature * x0 overflows, so every cell's first minibatch gradient is
+    infinite: each cell ends as diverged at step 1 and the sweep exits 0."""
+    cfg = {"master_seed": 1,
+           "problem": {"kind": "noisy-quadratic", "dim": 1, "variance": 1.0,
+                       "params": {"curvature": 1e300, "x0": [1e10]}},
+           "optimizer": {"algo": "sgd", "eta": 1e-300, "batch_size": 1},
+           "sweep": {"batch_grid": [1, 2], "epsilon": 1.0, "seeds": 1, "max_steps": 5}}
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        status = main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert status == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert rows == ["1,0,1,1,diverged", "2,0,1,2,diverged"]
+
+
 # every POINT field of the schema, or array of POINTs, as (block, key): the block's
 # subcommand must check its length against the problem's dim
 POINT_FIELDS = [(name, key) for name, block in SCHEMA["properties"].items()

@@ -218,13 +218,17 @@ def unblocked_draws(spec, X, b, gen, at_point):
     return g + (gen.standard_normal((X.shape[0], b, spec.dim)) * spec.noise_scale).mean(axis=1)
 
 
-DRAW_SPECS = objectives() + [NoisyQuadratic(dim=2)]
+# numpy sums the b draws of a dim-1 mean along a contiguous axis, pairwise
+# once b >= 8, and those of a wider mean one after another: both orders are pinned
+DRAW_SPECS = objectives() + [NoisyQuadratic(dim=2), NoisyQuadratic(dim=1, variance=2.0),
+                             NoisyQuadratic(dim=16, variance=3.0)]
+DRAW_IDS = [s.kind for s in objectives()] + ["noiseless-quadratic", "quadratic-dim1",
+                                             "quadratic-dim16"]
 
 
 @pytest.mark.parametrize("rows", [None, 1, 3], ids=["default-block", "one-row", "three-rows"])
 @pytest.mark.parametrize("b", [1, 4, 33])
-@pytest.mark.parametrize("spec", DRAW_SPECS,
-                         ids=[s.kind for s in DRAW_SPECS[:-1]] + ["noiseless-quadratic"])
+@pytest.mark.parametrize("spec", DRAW_SPECS, ids=DRAW_IDS)
 class TestDrawBlocks:
     """Each public draw entry gives the bits of one unblocked draw, whatever
     number of rows a block holds (10 rows: blocks of 3 leave a remainder);
@@ -383,6 +387,34 @@ def test_cells_leave_the_stack_on_divergence_and_convergence(kind):
             assert trace.exit_reason == ref["exit_reason"]
             assert trace.steps == ref["steps"]
             assert np.array_equal(trace.x_snapshot, ref["x_snapshot"])
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.algo)
+def test_a_non_finite_minibatch_gradient_ends_only_its_cell(config):
+    """One sample's gradient overflows at x0, so a cell that draws it has an
+    infinite minibatch gradient: that cell ends as diverged at the next step
+    count, while every other cell of the stack runs on as it would alone."""
+    spec = FiniteSumLeastSquares(data=[[1.0], [0.5], [0.8], [1e200]], targets=[0.0] * 4)
+    config = replace(config, batch_size=1)
+    x0 = np.array([1e-4])
+    streams = [RngStream(8).child(c) for c in range(8)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = simulate(spec, config, streams, x0=x0, max_steps=4)
+        for stream, trace in zip(streams, traces):
+            alone = run(spec, config, x0=x0, max_steps=4, rng=stream)
+            gb = trace.minibatch_grad
+            if trace.exit_reason == "diverged":
+                assert not np.isfinite(gb[-1]).all() and np.isfinite(gb[:-1]).all()
+                assert np.isnan(trace.x_final).all()
+                assert (alone.exit_reason, alone.steps) == ("diverged", trace.steps)
+                assert np.array_equal(alone.minibatch_grad, gb)
+            else:
+                assert trace.exit_reason == "step-cap" and np.isfinite(gb).all()
+                assert_same_trace(trace, alone)
+                ref = reference_run(spec, config, x0, 4, stream)
+                assert np.array_equal(trace.x_snapshot, ref["x_snapshot"])
+    reasons = [t.exit_reason for t in traces]
+    assert "diverged" in reasons and "step-cap" in reasons
 
 
 @pytest.mark.parametrize("kind", ["cumulative-grad-norm", "inner-product"])

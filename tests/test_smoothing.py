@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from noise_lab.problems import ConstantGradient, NoisyQuadratic, RngStream, SineBowl
+from noise_lab.problems import (ConstantGradient, FiniteSumLeastSquares, NoisyQuadratic,
+                                RngStream, SineBowl)
 from noise_lab.smoothing import (
     SharpnessSpec,
     SmoothingSpec,
@@ -193,6 +194,29 @@ class TestMeanUpdateIdentity:
         with pytest.raises(ValueError):
             gd_vs_nshb_expectation(self.spec, np.zeros(2), eta=0.1, beta=0.9,
                                    replicas=1)
+
+    @pytest.mark.parametrize("kind", ["constant-gradient", "finite-sum-least-squares"])
+    def test_burn_in_leaves_the_exact_gradients_to_the_draw(self, monkeypatch, kind):
+        """The burn-in draws without the exact gradients, which the draw takes
+        only where its kind reads them: the report is that of a burn-in that
+        passes grad_many(X) at every step, and a finite sum's gradient runs
+        only at the last step (one per replica) and at x_start."""
+        gen = np.random.default_rng(5)
+        spec = self.spec if kind == "constant-gradient" else FiniteSumLeastSquares(
+            gen.standard_normal((50, 2)), gen.standard_normal(50))
+        args = dict(x_start=np.array([0.5, -1.0]), eta=0.05, beta=0.9, replicas=300,
+                    burn_in=20, rng=RngStream(4), batch_size=2)
+        calls = []
+        grad = type(spec).grad
+        monkeypatch.setattr(type(spec), "grad", lambda obj, x: calls.append(1) or grad(obj, x))
+        got = gd_vs_nshb_expectation(spec, **args)
+        if kind == "finite-sum-least-squares":
+            assert len(calls) == args["replicas"] + 1
+
+        draw = spec.minibatch_grad_ensemble
+        monkeypatch.setattr(spec, "minibatch_grad_ensemble",
+                            lambda X, b, gens, G=None: draw(X, b, gens, spec.grad_many(X)))
+        assert got == gd_vs_nshb_expectation(spec, **args)
 
 
 class TestAdaptiveSharpness:
