@@ -392,8 +392,8 @@ def test_cells_leave_the_stack_on_divergence_and_convergence(kind):
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.algo)
 def test_a_non_finite_minibatch_gradient_ends_only_its_cell(config):
     """One sample's gradient overflows at x0, so a cell that draws it has an
-    infinite minibatch gradient: that cell ends as diverged at the next step
-    count, while every other cell of the stack runs on as it would alone."""
+    infinite minibatch gradient: that cell ends as diverged at that step, while
+    every other cell of the stack runs on as it would alone."""
     spec = FiniteSumLeastSquares(data=[[1.0], [0.5], [0.8], [1e200]], targets=[0.0] * 4)
     config = replace(config, batch_size=1)
     x0 = np.array([1e-4])
