@@ -24,7 +24,7 @@ from .config import (POINT, SCHEMA, ConfigError, build_objective, build_optimize
                      load_config, read_json, resolve_seed, validate_config)
 from .optimizers import TraceOptions, run as run_optimizer
 from .problems import RNG_CONTRACT, RngStream
-from .reporting import dump_json, emit_csv, emit_jsonl
+from .reporting import dump_json, emit_csv, emit_jsonl, json_number
 
 DEFAULT_BATCH_GRID = [2 ** k for k in range(3, 14)]
 
@@ -172,8 +172,8 @@ def _critical_report(spec, opt, stop, block, summary, seed) -> dict:
     except ValueError as exc:
         b_star = None
         notes.append(str(exc))
-    bound = None if b_star is None else sweep_mod.variance_upper_bound(
-        b_star, stop.epsilon, eta)
+    bound = None if b_star is None else json_number(sweep_mod.variance_upper_bound(
+        b_star, stop.epsilon, eta))
 
     unconverged = [s.b for s in summary.per_batch if s.converged_fraction < 1.0]
     if unconverged:
@@ -209,8 +209,13 @@ def _critical_report(spec, opt, stop, block, summary, seed) -> dict:
         params = sweep_mod.xyz_from_setup(spec, opt, x_ref, trace=ref_trace,
                                           epsilon=stop.epsilon,
                                           x0=block.get("x0"))
-        report["params"] = params
-        report["analytic_b_star"] = sweep_mod.analytic_critical_batch(params)
+        # JSON has no NaN or infinity: a coefficient that overflowed is null
+        report["params"] = {k: json_number(v) if isinstance(v, float) else v
+                            for k, v in asdict(params).items()}
+        overflowed = [k for k, v in report["params"].items() if v is None]
+        if overflowed:
+            notes.append(f"params not finite, written as null: {', '.join(overflowed)}")
+        report["analytic_b_star"] = json_number(sweep_mod.analytic_critical_batch(params))
     except (sweep_mod.DomainError, ValueError) as exc:
         notes.append(f"analytic curve unavailable: {exc}")
     return report

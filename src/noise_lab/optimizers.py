@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .problems import Objective, RngStream
+from .reporting import json_number, json_numbers
 
 ALGOS = ("sgd", "nshb", "shb")
 
@@ -143,11 +144,13 @@ class TraceRecord:
     dist_to_ref: Optional[float] = None
 
     def as_dict(self) -> dict:
-        out = {"t": self.t, "f_value": float(self.f_value)}
+        # JSON has no NaN or infinity: a value that overflowed is written as null
+        out = {"t": self.t, "f_value": json_number(float(self.f_value))}
         for name in ("grad", "search_direction", "minibatch_grad", "x_snapshot"):
             v = getattr(self, name)
-            out[name] = None if v is None else np.asarray(v, dtype=float).tolist()
-        out["dist_to_ref"] = None if self.dist_to_ref is None else float(self.dist_to_ref)
+            out[name] = None if v is None else json_numbers(np.asarray(v, dtype=float).tolist())
+        out["dist_to_ref"] = (None if self.dist_to_ref is None
+                              else json_number(float(self.dist_to_ref)))
         return out
 
 

@@ -214,8 +214,6 @@ class Objective:
     stochastic layer lives here."""
 
     kind: str = ""
-    # whether _minibatch_block reads the rows' exact gradients G
-    _draw_uses_grad = True
 
     def __init__(self, dim: int, variance: float = 0.0, x0: Optional[Sequence[float]] = None):
         if dim < 1:
@@ -287,13 +285,11 @@ class Objective:
                                 G: Optional[np.ndarray] = None) -> np.ndarray:
         """One minibatch gradient per row of X (independent draws), (m, dim),
         given one np.random.Generator for all rows or a sequence of one per
-        row, and G, the rows' exact gradients (computed here when None, and
-        only by a kind whose draw reads them). Row r has the law of
+        row, and G, the rows' exact gradients (when None, a kind whose draw
+        reads them computes them). Row r has the law of
         minibatch_grad(X[r], b, ...); the additive kinds draw its mean
         directly as dim normals, so their bits agree with it only at b = 1."""
         X = np.asarray(X, dtype=float)
-        if G is None and self._draw_uses_grad:
-            G = self.grad_many(X)
         if isinstance(gens, np.random.Generator):
             return self._draw_blocks(X, b, gens, G)
         if len(gens) != X.shape[0]:
@@ -323,8 +319,9 @@ class Objective:
 
     def _minibatch_block(self, X, b, gens, G, at_point) -> np.ndarray:
         """One minibatch gradient per row of X, whose exact gradients are the
-        rows of G: gens is one generator for all rows in order or a sequence
-        of one per row; at_point says every row is the same point, as in
+        rows of G (None: a kind whose draw reads them computes them): gens is
+        one generator for all rows in order or a sequence of one per row;
+        at_point says every row is the same point, as in
         minibatch_grad_means."""
         raise NotImplementedError
 
@@ -365,6 +362,7 @@ class _AdditiveNoiseObjective(Objective):
     def _minibatch_block(self, X, b, gens, G, at_point):
         # means at a point average b real draws; a step draws the mean of b iid
         # N(0, s^2) as one N(0, s^2 / b), exact in law and the same bits at b = 1
+        G = self.grad_many(X) if G is None else G
         if self.variance == 0.0:
             return G.copy()
         shape = (X.shape[0], b, self.dim) if at_point else X.shape
@@ -383,13 +381,11 @@ class _AdditiveNoiseObjective(Objective):
             noise *= self.noise_scale
             return G + np.add.reduce(noise, axis=1) / b
         # the same sequential sum over b of each (row, coordinate), but with the
-        # draws scaled into a copy with b outermost every add runs over rows * dim
-        # values; the copy is fastest with rows innermost up to dim 4
-        axes = (1, 2, 0) if self.dim <= 4 else (1, 0, 2)
-        terms = noise.transpose(axes)
-        terms = np.multiply(terms, self.noise_scale, out=np.empty(terms.shape))
-        sums = np.add.reduce(terms, axis=0)
-        return G + (sums.T if self.dim <= 4 else sums) / b
+        # draws scaled into a (b, dim, rows) copy every add runs over dim * rows
+        # values
+        terms = np.multiply(noise.transpose(1, 2, 0), self.noise_scale,
+                            out=np.empty((b, self.dim, X.shape[0])))
+        return G + np.add.reduce(terms, axis=0).T / b
 
 
 class NoisyQuadratic(_AdditiveNoiseObjective):
@@ -474,7 +470,6 @@ class FiniteSumLeastSquares(Objective):
     """
 
     kind = "finite-sum-least-squares"
-    _draw_uses_grad = False     # a draw gathers per-sample gradients
 
     def __init__(self, data, targets, variance=0.0, x0=None):
         data = _finite(data, "data")

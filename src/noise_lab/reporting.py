@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -26,6 +27,17 @@ def format_value(v) -> str:
     if v is None:
         return ""
     return str(v)
+
+
+def json_number(v: float):
+    """v, or None where JSON has no number for it (NaN or infinity)."""
+    return v if math.isfinite(v) else None
+
+
+def json_numbers(values: list) -> list:
+    """values with each NaN or infinity as None; a finite sum means every
+    value is finite, so a list without one costs one sum."""
+    return values if math.isfinite(sum(values)) else [json_number(v) for v in values]
 
 
 def _jsonable(obj):

@@ -10,7 +10,7 @@ import pytest
 from noise_lab import analysis, cli, smoothing, sweep as sweep_mod
 from noise_lab.cli import fixture_table_text, main
 from noise_lab.config import POINT, SCHEMA, ConfigError, build_objective, validate_config
-from noise_lab.reporting import dump_json, emit_csv, emit_jsonl
+from noise_lab.reporting import dump_json, emit_csv, emit_jsonl, json_number, json_numbers
 
 DATA = Path(__file__).parent / "data"
 
@@ -304,6 +304,55 @@ def test_non_finite_minibatch_gradient_ends_cells_as_diverged(tmp_path, capsys):
     assert rows == ["1,0,1,1,diverged", "2,0,1,2,diverged"]
 
 
+def _strict_json(text):
+    def reject(name):
+        raise AssertionError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+OVERFLOW = {"master_seed": 1,
+            "problem": {"kind": "noisy-quadratic", "dim": 1, "variance": 1.0,
+                        "params": {"curvature": 1e300, "x0": [1e10]}},
+            "optimizer": {"algo": "sgd", "eta": 1e-300, "batch_size": 1},
+            "run": {"max_steps": 5},
+            "sweep": {"batch_grid": [1, 2], "epsilon": 1.0, "seeds": 1, "max_steps": 5}}
+# f(x0) overflows at x0_3 = 1e300
+HUGE_X0 = {"master_seed": 4,
+           "problem": {"kind": "noisy-quadratic", "variance": 1e6, "dim": 3,
+                       "params": {"x0": [0.001, 1e-12, 1e300]}},
+           "optimizer": {"algo": "shb", "eta": 1e12, "batch_size": 1, "gamma": 1e150,
+                         "beta_bar": 0.9},
+           "run": {"max_steps": 1, "epsilon": 0.5}}
+# Y = eta C^2 / 2 overflows
+HUGE_Y = {"master_seed": 5, "problem": {"kind": "noisy-quadratic", "variance": 1e300, "dim": 1},
+          "optimizer": {"algo": "nshb", "eta": 1e300, "batch_size": 2, "beta": 0.999999},
+          "sweep": {"batch_grid": [1, 4], "epsilon": 1e-12, "seeds": 1, "max_steps": 1,
+                    "stop_kind": "inner-product"}}
+
+
+@pytest.mark.parametrize("command, cfg, nulls", [
+    ("run", OVERFLOW, ["f_value", "grad", "minibatch_grad", "search_direction"]),
+    ("sweep", OVERFLOW, ["X", "Z"]),
+    ("run", HUGE_X0, ["f_value"]),
+    ("sweep", HUGE_Y, ["Y"]),
+], ids=["overflow-run", "overflow-sweep", "huge-x0-run", "huge-y-sweep"])
+def test_overflowed_values_are_written_as_null(tmp_path, capsys, command, cfg, nulls):
+    """JSON has no NaN or infinity: a run's record value or a sweep's
+    coefficient that overflowed is null, and every artifact is JSON."""
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    if command == "run":
+        record, = [_strict_json(line) for line in (out / "run.jsonl").read_text().splitlines()]
+        assert [k for k, v in record.items()
+                if v is None or isinstance(v, list) and None in v] == ["dist_to_ref", *nulls]
+    else:
+        critical = _strict_json((out / "critical.json").read_text())
+        assert [k for k, v in critical["params"].items() if v is None] == nulls
+        assert f"params not finite, written as null: {', '.join(nulls)}" in critical["notes"]
+
+
 # every POINT field of the schema, or array of POINTs, as (block, key): the block's
 # subcommand must check its length against the problem's dim
 POINT_FIELDS = [(name, key) for name, block in SCHEMA["properties"].items()
@@ -463,6 +512,11 @@ class TestEmitters:
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0]) == recs[0]
+
+    def test_non_finite_numbers_become_none(self):
+        assert [json_number(v) for v in (0.5, float("inf"), float("nan"))] == [0.5, None, None]
+        assert json_numbers([1e308, 1e308]) == [1e308, 1e308]     # the sum alone overflows
+        assert json_numbers([1.0, -float("inf"), float("nan")]) == [1.0, None, None]
 
     def test_json_sorted_and_numpy_safe(self, tmp_path):
         path = dump_json({"z": np.float64(0.5), "a": np.arange(3)}, tmp_path / "o.json")

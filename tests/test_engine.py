@@ -283,6 +283,16 @@ class TestDrawBlocks:
         assert np.array_equal(got, [step_draw(spec, x, b, s) for x, s in zip(X, streams)])
         assert len(calls) == 1
 
+    def test_ensemble_without_gradients(self, spec, b, rows, blocks):
+        """Without the rows' gradients a draw computes them where it reads
+        them, block by block, to the same bits."""
+        blocks(False)
+        X = self.points(spec)
+        for gens in (RngStream(4, (b,)).generator,
+                     lambda: [RngStream(5, (b, r)).generator() for r in range(len(X))]):
+            assert np.array_equal(spec.minibatch_grad_ensemble(X, b, gens()),
+                                  spec.minibatch_grad_ensemble(X, b, gens(), spec.grad_many(X)))
+
 
 LAW_BATCHES = (1, 8, 512)
 LAW_Z = 4.5     # per statistic, two-sided; 30 statistics make a check
