@@ -18,9 +18,7 @@ from .optimizers import (OptimizerConfig, OptimizerState, Trace, TraceOptions,
                          TraceRecord, map_shb_to_nshb, nshb_step, run, sgd_step,
                          shb_step, simulate)
 from .problems import (ConstantGradient, FiniteSumLeastSquares, KnownConstants,
-                       NoisyQuadratic, Objective, RngStream, SineBowl, eval_f,
-                       eval_grad, known_constants, make_objective, minibatch_grad,
-                       sample_stochastic_grad)
+                       NoisyQuadratic, Objective, RngStream, SineBowl, make_objective)
 from .smoothing import (GapReport, MeanUpdateReport, SharpnessSpec, SmoothedValue,
                         SmoothingSpec, adaptive_sharpness, degree_of_smoothing,
                         draw_directions, gd_vs_nshb_expectation, mean_direction_norm,

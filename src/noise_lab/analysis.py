@@ -123,12 +123,11 @@ def stationarity_check(spec: Objective, x_star, directions: int,
 
 
 def ensemble(spec: Objective, config: OptimizerConfig, x0, steps: int, seeds: int,
-             rng: RngStream, record_f: bool = False) -> list:
+             rng: RngStream) -> list:
     """Independent-seed traces of equal length with x snapshots, in seed
     order; seed s runs on rng.child(s), all seeds in one lockstep stack."""
-    return simulate(spec, config, [rng.child(s) for s in range(seeds)], x0=x0,
-                    max_steps=steps,
-                    trace_options=TraceOptions(record=True, record_x=True, record_f=record_f))
+    return simulate(spec, config, [rng.child(s) for s in range(seeds)], x0=x0, max_steps=steps,
+                    trace_options=TraceOptions(record=True, record_x=True, record_f=False))
 
 
 @dataclass(frozen=True)

@@ -238,6 +238,10 @@ def cmd_noise(args) -> int:
         early = f", before its burn-in of {burn_in} steps ended" if trace.steps <= burn_in else ""
         raise ConfigError(f"the run diverged at step {trace.steps}{early}", "$.optimizer")
     report = noise_mod.search_direction_noise(trace, spec, burn_in=burn_in)
+    # huge but finite gradients can leave the iterate in range while their squares overflow
+    floats = [v for v in asdict(report.summary).values() if isinstance(v, float)]
+    if not all(np.isfinite(v).all() for v in (report.grad_noise_sq, report.omega_sq, floats)):
+        raise ConfigError("the squared noise norms overflow", "$.optimizer")
     p1 = emit_csv(list(report.rows()), out / "noise.csv",
                   ["t", "grad_noise_sq", "omega_sq"])
     print(f"wrote {p1} ({trace.steps} steps)")
@@ -261,6 +265,9 @@ def cmd_smooth(args) -> int:
         raise ConfigError(
             "objective has no known Lipschitz constant; set smooth.lipschitz "
             "or smooth.box_radius", "$.smooth.lipschitz")
+    if not math.isfinite(lipschitz):     # the objective's constant overflowed
+        raise ConfigError(f"the Lipschitz constant is {lipschitz}, not a finite number",
+                          "$.smooth.lipschitz")
 
     try:
         report = smoothing.smoothing_gap_check(
@@ -423,7 +430,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # every subcommand turns an overflow into what it checks (the divergence test,
+        # a null value, exit 2), so numpy's warning would only repeat it on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

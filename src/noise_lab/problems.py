@@ -2,11 +2,11 @@
 
 Every objective exposes three oracles:
 
-  * the exact value f(x) and exact full gradient,
-  * a single stochastic gradient draw G(x) that is unbiased,
-    E[G(x)] = grad f(x), with deviation second moment E||G - grad f||^2
-    equal to a configured constant C^2 (additive-noise kinds) or bounded
-    by the data (finite-sum kind),
+  * the exact value f(x) and exact full gradient (value, grad),
+  * a single stochastic gradient draw G(x), the b = 1 minibatch, that is
+    unbiased, E[G(x)] = grad f(x), with deviation second moment
+    E||G - grad f||^2 equal to a configured constant C^2 (additive-noise
+    kinds) or bounded by the data (finite-sum kind),
   * a minibatch gradient: the mean of b iid draws with replacement, whose
     deviation second moment is C^2 / b; minibatch_grad_means averages b
     explicit draws, while a step (minibatch_grad_ensemble) of an additive
@@ -261,18 +261,6 @@ class Objective:
             raise ValueError(f"x has shape {x.shape}, expected ({self.dim},)")
         return x
 
-    def stochastic_grad(self, x, rng: RngStream) -> np.ndarray:
-        """One unbiased draw G(x)."""
-        return self.stochastic_grads(x, 1, rng)[0]
-
-    def stochastic_grads(self, x, m: int, rng: RngStream) -> np.ndarray:
-        """m iid draws at a fixed point, shape (m, dim)."""
-        return self.minibatch_grad_means(x, 1, m, rng)
-
-    def minibatch_grad(self, x, b: int, rng: RngStream) -> np.ndarray:
-        """Mean of b iid stochastic gradients (sampling with replacement)."""
-        return self.minibatch_grad_means(x, b, 1, rng)[0]
-
     def minibatch_grad_means(self, x, b: int, m: int, rng: RngStream) -> np.ndarray:
         """m independent minibatch gradients at a fixed point, shape (m, dim)."""
         x = self._check_x(x)
@@ -287,7 +275,7 @@ class Objective:
         given one np.random.Generator for all rows or a sequence of one per
         row, and G, the rows' exact gradients (when None, a kind whose draw
         reads them computes them). Row r has the law of
-        minibatch_grad(X[r], b, ...); the additive kinds draw its mean
+        minibatch_grad_means(X[r], b, 1, ...); the additive kinds draw its mean
         directly as dim normals, so their bits agree with it only at b = 1."""
         X = np.asarray(X, dtype=float)
         if isinstance(gens, np.random.Generator):
@@ -606,29 +594,3 @@ def make_objective(kind: str, dim: Optional[int] = None, params: Optional[dict] 
         raise ValueError(f"{kind} needs dim")
     return cls(dim, variance=variance, x0=x0, **params)
 
-
-# functional aliases matching the operation vocabulary
-
-def eval_f(spec: Objective, x) -> float:
-    """Exact objective value."""
-    return spec.value(np.asarray(x, dtype=float))
-
-
-def eval_grad(spec: Objective, x) -> np.ndarray:
-    """Exact full gradient (mean of per-sample gradients for finite sums)."""
-    return spec.grad(np.asarray(x, dtype=float))
-
-
-def sample_stochastic_grad(spec: Objective, x, rng: RngStream) -> np.ndarray:
-    """One unbiased stochastic gradient draw."""
-    return spec.stochastic_grad(x, rng)
-
-
-def minibatch_grad(spec: Objective, x, b: int, rng: RngStream) -> np.ndarray:
-    """Mean of b iid stochastic gradients drawn with replacement."""
-    return spec.minibatch_grad(x, b, rng)
-
-
-def known_constants(spec: Objective) -> KnownConstants:
-    """Analytic constants where defined; None fields must be estimated."""
-    return spec.constants()

@@ -23,16 +23,22 @@ Perturbation distributions:
 The worst-case adaptive sharpness of f at w with radius rho and scaling c
 is max f(w + delta) - f(w) over ||delta / c||_p <= rho, estimated from
 below by random search or projected sign ascent.
+
+The smoothing functions take f as an Objective or as a callable that maps
+an (m, dim) array of points to their m values; adaptive sharpness takes an
+Objective, whose gradient sign ascent follows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
+# bound at import: bench/tracer.py's wrapper of optimizers.nshb_step counts simulate's only
+from .optimizers import OptimizerState, nshb_step
 from .problems import Objective, RngStream
 
 DISTRIBUTIONS = ("unit-sphere-uniform", "gaussian-scaled", "ball-uniform")
@@ -118,23 +124,19 @@ def draw_directions(dist: str, dim: int, m: int, gen: np.random.Generator) -> np
     raise ValueError(f"unknown distribution {dist!r}")
 
 
-def _value_fn(f, vectorized: bool):
-    """Normalise an objective or callable into a batched evaluator
-    (m, dim) -> (m,). Plain callables are applied row-wise unless marked
-    vectorized."""
+def _value_fn(f):
+    """f's values at the rows of an (m, dim) array (value_many for an objective)."""
     if isinstance(f, Objective):
         return f.value_many
     if not callable(f):
         raise TypeError("f must be an Objective or a callable")
-    if vectorized:
-        return lambda X: np.asarray(f(X), dtype=float)
-    return lambda X: np.array([float(f(row)) for row in X])
+    return lambda X: np.asarray(f(X), dtype=float)
 
 
-def _point_value(f, x, vectorized: bool) -> float:
+def _point_value(f, x) -> float:
     if isinstance(f, Objective):
         return f.value(x)
-    return float(_value_fn(f, vectorized)(x[None, :])[0])
+    return float(_value_fn(f)(x[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -145,15 +147,14 @@ class SmoothedValue:
     mean_direction_norm: float
 
 
-def smoothed_value(f, x, smoothing: SmoothingSpec, rng: RngStream,
-                   vectorized: bool = False) -> SmoothedValue:
-    """Monte-Carlo estimate of f_hat_delta(x) with its standard error. The
-    empirical E||u|| is reported alongside so the normalisation can be
-    audited."""
+def smoothed_value(f, x, smoothing: SmoothingSpec, rng: RngStream) -> SmoothedValue:
+    """Monte-Carlo estimate of f_hat_delta(x), f an objective or a callable on
+    (m, dim) arrays, with its standard error. The empirical E||u|| is
+    reported alongside so the normalisation can be audited."""
     x = np.asarray(x, dtype=float)
-    value = _value_fn(f, vectorized)
+    value = _value_fn(f)
     if smoothing.delta == 0.0:
-        return SmoothedValue(estimate=_point_value(f, x, vectorized), std_error=0.0,
+        return SmoothedValue(estimate=_point_value(f, x), std_error=0.0,
                              samples=smoothing.samples, mean_direction_norm=0.0)
     gen = rng.generator()
     m = smoothing.samples
@@ -203,8 +204,7 @@ class GapReport:
 
 def smoothing_gap_check(f, points, delta: float, lipschitz: Optional[float] = None,
                         samples: int = 100_000, dist: str = "unit-sphere-uniform",
-                        rng: Optional[RngStream] = None,
-                        vectorized: bool = False) -> GapReport:
+                        rng: Optional[RngStream] = None) -> GapReport:
     """Check |f_hat_delta(x) - f(x)| <= delta * L_f at each point, with a
     3-standard-error Monte-Carlo allowance. L_f defaults to the
     objective's known Lipschitz constant and must be supplied otherwise."""
@@ -220,8 +220,8 @@ def smoothing_gap_check(f, points, delta: float, lipschitz: Optional[float] = No
     results = []
     for i, point in enumerate(points):
         point = np.asarray(point, dtype=float)
-        sv = smoothed_value(f, point, spec, rng.child(i), vectorized=vectorized)
-        f_x = _point_value(f, point, vectorized)
+        sv = smoothed_value(f, point, spec, rng.child(i))
+        f_x = _point_value(f, point)
         gap = abs(sv.estimate - f_x)
         bound = delta * lipschitz
         slack = 3.0 * sv.std_error + 1e-9 * max(1.0, abs(f_x))
@@ -269,19 +269,17 @@ def gd_vs_nshb_expectation(spec: Objective, x_start, eta: float, beta: float,
     rng = rng or RngStream(0)
     x_start = np.asarray(x_start, dtype=float)
 
-    X = np.tile(x_start, (replicas, 1))
-    D = np.zeros_like(X)
+    state = OptimizerState.initial(np.tile(x_start, (replicas, 1)))
     for t in range(burn_in):
-        G = spec.minibatch_grad_ensemble(X, batch_size, rng.generator(t))
-        D = (1.0 - beta) * G + beta * D
-        X = X - eta * D
-        if not np.all(np.isfinite(X)):
+        nshb_step(state, spec.minibatch_grad_ensemble(state.x, batch_size, rng.generator(t)),
+                  eta, beta)
+        if not np.all(np.isfinite(state.x)):
             raise FloatingPointError(f"replica ensemble diverged at burn-in step {t}")
 
-    grads = spec.grad_many(X)
-    G = spec.minibatch_grad_ensemble(X, batch_size, rng.generator(burn_in), grads)
-    D = (1.0 - beta) * G + beta * D
-    deltas = -eta * (D - grads)          # x_{t+1} - (x_t - eta grad f(x_t)) per replica
+    grads = spec.grad_many(state.x)
+    nshb_step(state, spec.minibatch_grad_ensemble(state.x, batch_size, rng.generator(burn_in),
+                                                  grads), eta, beta)
+    deltas = -eta * (state.momentum - grads)   # x_{t+1} - (x_t - eta grad f(x_t)) per replica
     mean = deltas.mean(axis=0)
     var = deltas.var(axis=0, ddof=1)
     radius = 3.0 * math.sqrt(float(np.sum(var)) / replicas)
@@ -306,16 +304,15 @@ def _project_feasible(delta: np.ndarray, rho: float, c: np.ndarray, p: str) -> n
     return delta
 
 
-def adaptive_sharpness(f, w, sharp: SharpnessSpec, rng: Optional[RngStream] = None,
-                       grad: Optional[Callable] = None,
-                       vectorized: bool = False) -> float:
+def adaptive_sharpness(spec: Objective, w, sharp: SharpnessSpec,
+                       rng: Optional[RngStream] = None) -> float:
     """Lower bound on max f(w + delta) - f(w) over ||delta / c||_p <= rho.
 
     random-search evaluates iters feasible perturbations; sign-ascent takes
-    iters projected ascent steps from a random feasible start (needs a
-    gradient: the objective's, or grad=). The zero perturbation is always
-    feasible, so the result is non-negative, and the best value seen is
-    kept, so more iterations never lower it.
+    iters projected ascent steps, along the objective's gradient, from a
+    random feasible start. The zero perturbation is always feasible, so the
+    result is non-negative, and the best value seen is kept, so more
+    iterations never lower it.
     """
     rng = rng or RngStream(0)
     w = np.asarray(w, dtype=float)
@@ -323,11 +320,10 @@ def adaptive_sharpness(f, w, sharp: SharpnessSpec, rng: Optional[RngStream] = No
     if c.shape != w.shape:
         raise ValueError(f"scaling vector has shape {c.shape}, expected {w.shape}")
     p = str(sharp.p)
-    base = _point_value(f, w, vectorized)
+    base = spec.value(w)
     if sharp.rho == 0.0:
         return 0.0
     gen = rng.generator()
-    value = _value_fn(f, vectorized)
     best = 0.0
 
     if sharp.method == "random-search":
@@ -335,28 +331,23 @@ def adaptive_sharpness(f, w, sharp: SharpnessSpec, rng: Optional[RngStream] = No
             deltas = sharp.rho * c * gen.uniform(-1.0, 1.0, size=(sharp.iters, w.size))
         else:
             deltas = sharp.rho * c * draw_directions("ball-uniform", w.size, sharp.iters, gen)
-        vals = value(w + deltas) - base
+        vals = spec.value_many(w + deltas) - base
         return float(max(best, np.max(vals)))
 
-    if grad is None:
-        if isinstance(f, Objective):
-            grad = f.grad
-        else:
-            raise ValueError("sign-ascent needs a gradient; pass grad= for plain callables")
     delta = _project_feasible(sharp.rho * c * gen.uniform(-0.5, 0.5, size=w.size),
                               sharp.rho, c, p)
     step = sharp.rho / 10.0
     for _ in range(sharp.iters):
-        g = np.asarray(grad(w + delta), dtype=float)
+        g = spec.grad(w + delta)
         if not np.any(g):
             delta = _project_feasible(sharp.rho * c * gen.uniform(-1.0, 1.0, size=w.size),
                                       sharp.rho, c, p)
-            g = np.asarray(grad(w + delta), dtype=float)
+            g = spec.grad(w + delta)
         if p == "inf":
             delta = _project_feasible(delta + step * c * np.sign(g), sharp.rho, c, p)
         else:
             gn = float(np.linalg.norm(c * g))
             if gn > 0:
                 delta = _project_feasible(delta + step * (c * c * g) / gn, sharp.rho, c, p)
-        best = max(best, float(value(w + delta[None, :])[0] - base))
+        best = max(best, float(spec.value_many(w + delta[None, :])[0] - base))
     return best

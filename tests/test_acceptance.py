@@ -170,13 +170,11 @@ def test_criterion_08_smoothing_gap_bound(capsys):
     ok = True
     for i, delta in enumerate((0.1, 0.5, 1.0)):
         rep = nl.smoothing_gap_check(norm_f, points, delta=delta, lipschitz=1.0,
-                                     samples=100_000, rng=nl.RngStream(802).child(i),
-                                     vectorized=True)
+                                     samples=100_000, rng=nl.RngStream(802).child(i))
         ok &= rep.all_passed
         boundary = nl.smoothing_gap_check(norm_f, [np.zeros(4)], delta=delta,
                                           lipschitz=1.0, samples=100_000,
-                                          rng=nl.RngStream(803).child(i),
-                                          vectorized=True).points[0]
+                                          rng=nl.RngStream(803).child(i)).points[0]
         ok &= abs(boundary.gap - delta) <= 3.0 * boundary.std_error + 1e-9
         ok &= boundary.passed
     report(capsys, 8, "Lipschitz gap bound holds; boundary case gap = delta", ok)

@@ -266,6 +266,21 @@ BAD_INPUTS = {
     "sharpness-rho-overflow": ("sharpness", [], {"sharpness": {"rho": 1e300, "p": 2,
                                                                "method": "random-search"}},
                                None, "$.sharpness.rho"),
+    # ~1e170 gradients leave the iterate in range, but their squared norms overflow
+    "noise-squared-norms-overflow": (
+        "noise", [], {"master_seed": 1,
+                      "problem": {"kind": "noisy-quadratic", "dim": 1, "variance": 1.0,
+                                  "params": {"curvature": 1e160, "x0": [1e10]}},
+                      "optimizer": {"algo": "nshb", "eta": 1e-160, "beta": 0.9},
+                      "noise": {"steps": 300}},
+        None, "$.optimizer: the squared noise norms overflow"),
+    # the norm of the coefficient 5e159 sums squares that overflow: L_f would be infinite
+    "smooth-lipschitz-overflow": (
+        "smooth", [], {"master_seed": 361,
+                       "problem": {"kind": "constant-gradient", "dim": 1, "variance": 1.0,
+                                   "params": {"x0": [-5e-301], "coefficient": 5e159}},
+                       "smooth": {"samples": 100, "delta": 5e-101, "box_radius": 3e10}},
+        None, "$.smooth.lipschitz: the Lipschitz constant is inf"),
 }
 
 
@@ -296,9 +311,7 @@ def test_non_finite_minibatch_gradient_ends_cells_as_diverged(tmp_path, capsys):
            "optimizer": {"algo": "sgd", "eta": 1e-300, "batch_size": 1},
            "sweep": {"batch_grid": [1, 2], "epsilon": 1.0, "seeds": 1, "max_steps": 5}}
     out = tmp_path / "out"
-    with np.errstate(over="ignore"):
-        status = main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
-    assert status == 0
+    assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
     assert "Traceback" not in capsys.readouterr().err
     rows = (out / "sweep.csv").read_text().splitlines()[1:]
     assert rows == ["1,0,1,1,diverged", "2,0,1,2,diverged"]
@@ -340,8 +353,7 @@ def test_overflowed_values_are_written_as_null(tmp_path, capsys, command, cfg, n
     """JSON has no NaN or infinity: a run's record value or a sweep's
     coefficient that overflowed is null, and every artifact is JSON."""
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
     assert "Traceback" not in capsys.readouterr().err
     if command == "run":
         record, = [_strict_json(line) for line in (out / "run.jsonl").read_text().splitlines()]

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from noise_lab import problems
-from noise_lab.analysis import ensemble
 from noise_lab.noise import minibatch_deviation_sq_samples
 from noise_lab.optimizers import (DIVERGENCE_LIMIT, OptimizerConfig, OptimizerState,
                                   TraceOptions, nshb_step, run, sgd_step, shb_step, simulate)
@@ -53,7 +52,7 @@ def step_draw(spec, x, b, stream):
 
 def v1_draw(spec, x, b, stream):
     """A step's minibatch under stream contract 1: the mean of b explicit draws."""
-    return spec.minibatch_grad(x, b, stream)
+    return spec.minibatch_grad_means(x, b, 1, stream)[0]
 
 
 def reference_run(spec, config, x0, max_steps, rng, stop=None, draw=step_draw):
@@ -110,8 +109,9 @@ class TestParity:
     def test_ensemble_equals_per_seed_runs(self, spec, config):
         rng = RngStream(31).child("parity")
         x0 = spec.default_start() * 0.5
-        traces = ensemble(spec, config, x0, steps=40, seeds=5, rng=rng, record_f=True)
         opts = TraceOptions(record=True, record_x=True, record_f=True)
+        traces = simulate(spec, config, [rng.child(s) for s in range(5)], x0=x0,
+                          max_steps=40, trace_options=opts)
         for seed, trace in enumerate(traces):
             alone = run(spec, config, x0=x0, max_steps=40, rng=rng.child(seed),
                         trace_options=opts)
@@ -135,8 +135,8 @@ class TestParity:
 
     def test_per_row_streams_equal_minibatch_grad(self, spec, config, monkeypatch):
         """Each row drawn from its stream's generator is that stream's
-        written-out step draw at any block size; that is minibatch_grad's
-        draw at b = 1, and for finite-sum at any b."""
+        written-out step draw at any block size; that is the draw of
+        minibatch_grad_means at b = 1, and for finite-sum at any b."""
         X = np.random.default_rng(5).standard_normal((9, spec.dim))
         streams = [RngStream(12, (r, 3)) for r in range(len(X))]
         for chunk_scalars in (problems._CHUNK_SCALARS, 2 * 4 * spec.dim):
@@ -147,7 +147,7 @@ class TestParity:
                 for x, s, g in zip(X, streams, G):
                     assert np.array_equal(g, step_draw(spec, x, b, s))
                     if b == 1 or isinstance(spec, FiniteSumLeastSquares):
-                        assert np.array_equal(g, spec.minibatch_grad(x, b, s))
+                        assert np.array_equal(g, spec.minibatch_grad_means(x, b, 1, s)[0])
 
 
 @pytest.mark.parametrize("config", [replace(c, batch_size=1) for c in CONFIGS],

@@ -172,7 +172,7 @@ class TestTailStats:
         """Per-coordinate deviations of the Gaussian oracle show zero excess
         kurtosis within the 99% CI."""
         q = NoisyQuadratic(dim=4, variance=2.0)
-        draws = q.stochastic_grads(np.zeros(4), 50_000, RngStream(9))
+        draws = q.minibatch_grad_means(np.zeros(4), 1, 50_000, RngStream(9))
         coords = (draws - q.grad(np.zeros(4))).ravel()
         stats = tail_stats(coords)
         # 99% CI half-width for n = 2e5: 2.58 * sqrt(24/n) ~ 0.028

@@ -13,12 +13,7 @@ from noise_lab.problems import (
     NoisyQuadratic,
     RngStream,
     SineBowl,
-    eval_f,
-    eval_grad,
-    known_constants,
     make_objective,
-    minibatch_grad,
-    sample_stochastic_grad,
 )
 
 
@@ -171,20 +166,20 @@ class TestSeedSequenceReplay:
 class TestEvalF:
     def test_quadratic_minimum(self):
         q = NoisyQuadratic(dim=2)
-        assert eval_f(q, [0.0, 0.0]) == 0.0
+        assert q.value([0.0, 0.0]) == 0.0
 
     def test_quadratic_hand_value(self):
         q = NoisyQuadratic(dim=2)
-        assert eval_f(q, [2.0, 0.0]) == 2.0
+        assert q.value([2.0, 0.0]) == 2.0
 
     def test_constant_gradient_hand_value(self):
         c = ConstantGradient(dim=2, coefficient=[1.0, 1.0])
-        assert eval_f(c, [3.0, 4.0]) == 7.0
+        assert c.value([3.0, 4.0]) == 7.0
 
     def test_dimension_mismatch(self):
         q = NoisyQuadratic(dim=2)
         with pytest.raises(ValueError):
-            eval_f(q, [1.0, 2.0, 3.0])
+            q.value([1.0, 2.0, 3.0])
 
     def test_value_many_matches_loop(self):
         rng = np.random.default_rng(0)
@@ -201,15 +196,15 @@ class TestEvalF:
 class TestEvalGrad:
     def test_quadratic_gradient_is_x(self):
         q = NoisyQuadratic(dim=2)
-        np.testing.assert_array_equal(eval_grad(q, [2.0, 0.0]), [2.0, 0.0])
+        np.testing.assert_array_equal(q.grad([2.0, 0.0]), [2.0, 0.0])
 
     def test_constant_gradient(self):
         c = ConstantGradient(dim=2, coefficient=[1.0, 1.0])
-        np.testing.assert_array_equal(eval_grad(c, [9.0, -3.0]), [1.0, 1.0])
+        np.testing.assert_array_equal(c.grad([9.0, -3.0]), [1.0, 1.0])
 
     def test_finite_sum_average(self):
         fs = two_sample_finite_sum()
-        np.testing.assert_allclose(eval_grad(fs, [0.0, 0.0]), [1.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(fs.grad([0.0, 0.0]), [1.0, 1.0], atol=1e-15)
 
     def test_finite_sum_consistency(self):
         """Averaging all per-sample gradients equals the full gradient."""
@@ -240,14 +235,14 @@ class TestEvalGrad:
 class TestStochasticGrad:
     def test_zero_variance_is_exact(self):
         q = NoisyQuadratic(dim=2, variance=0.0)
-        g = sample_stochastic_grad(q, [1.0, 2.0], RngStream(0))
-        np.testing.assert_array_equal(g, eval_grad(q, [1.0, 2.0]))
+        g = q.minibatch_grad_means([1.0, 2.0], 1, 1, RngStream(0))[0]
+        np.testing.assert_array_equal(g, q.grad([1.0, 2.0]))
 
     def test_deviation_second_moment(self):
         """Monte-Carlo E||G - grad f||^2 equals the configured C^2."""
         q = NoisyQuadratic(dim=2, variance=4.0)
         x = np.array([1.0, -1.0])
-        draws = q.stochastic_grads(x, 100_000, RngStream(11))
+        draws = q.minibatch_grad_means(x, 1, 100_000, RngStream(11))
         dev = draws - q.grad(x)
         mean_sq = np.mean(np.sum(dev * dev, axis=1))
         np.testing.assert_allclose(mean_sq, 4.0, rtol=0.05)
@@ -257,13 +252,13 @@ class TestStochasticGrad:
         q = NoisyQuadratic(dim=3, variance=9.0)
         x = np.array([0.5, 1.5, -2.0])
         m = 100_000
-        draws = q.stochastic_grads(x, m, RngStream(21))
+        draws = q.minibatch_grad_means(x, 1, m, RngStream(21))
         err = np.linalg.norm(draws.mean(axis=0) - q.grad(x))
         assert err <= 4.0 * np.sqrt(9.0 / m)
 
     def test_finite_sum_uniform_index(self):
         fs = two_sample_finite_sum()
-        draws = fs.stochastic_grads(np.zeros(2), 20_000, RngStream(4))
+        draws = fs.minibatch_grad_means(np.zeros(2), 1, 20_000, RngStream(4))
         first = np.array([2.0, 0.0])
         second = np.array([0.0, 2.0])
         is_first = np.all(np.isclose(draws, first), axis=1)
@@ -274,23 +269,25 @@ class TestStochasticGrad:
     def test_bit_for_bit_determinism(self):
         q = SineBowl(dim=4, variance=2.0)
         x = np.array([0.1, 0.2, 0.3, 0.4])
-        a = sample_stochastic_grad(q, x, RngStream(9, (2,)))
-        b = sample_stochastic_grad(q, x, RngStream(9, (2,)))
+        a = q.minibatch_grad_means(x, 1, 1, RngStream(9, (2,)))
+        b = q.minibatch_grad_means(x, 1, 1, RngStream(9, (2,)))
         np.testing.assert_array_equal(a, b)
 
 
 class TestMinibatchGrad:
     def test_b1_matches_single_draw(self):
+        """At b = 1 a minibatch is one draw: the gradient plus dim normals
+        scaled to per-coordinate variance C^2 / dim."""
         q = NoisyQuadratic(dim=2, variance=4.0)
         x = np.array([1.0, 1.0])
         s = RngStream(13)
-        np.testing.assert_array_equal(minibatch_grad(q, x, 1, s),
-                                      sample_stochastic_grad(q, x, s))
+        np.testing.assert_array_equal(q.minibatch_grad_means(x, 1, 1, s)[0],
+                                      q.grad(x) + s.generator().standard_normal(2) * q.noise_scale)
 
     def test_zero_variance_any_batch(self):
         q = NoisyQuadratic(dim=2, variance=0.0)
-        g = minibatch_grad(q, [3.0, -1.0], 16, RngStream(0))
-        np.testing.assert_array_equal(g, eval_grad(q, [3.0, -1.0]))
+        g = q.minibatch_grad_means([3.0, -1.0], 16, 1, RngStream(0))[0]
+        np.testing.assert_array_equal(g, q.grad([3.0, -1.0]))
 
     def test_variance_scaling_b4(self):
         """Variance-of-the-mean equality case: E||dev||^2 = C^2 / 4 at b=4."""
@@ -312,7 +309,7 @@ class TestMinibatchGrad:
     def test_zero_batch_rejected(self):
         q = NoisyQuadratic(dim=2, variance=1.0)
         with pytest.raises(ValueError):
-            minibatch_grad(q, [0.0, 0.0], 0, RngStream(0))
+            q.minibatch_grad_means([0.0, 0.0], 0, 1, RngStream(0))
 
     def test_finite_sum_ensemble_matches_chunk_distribution(self):
         """The per-row ensemble draw has the same mean/covariance scale as
@@ -332,20 +329,20 @@ class TestMinibatchGrad:
 class TestKnownConstants:
     def test_configured_variance_round_trip(self):
         q = NoisyQuadratic(dim=8, variance=1280.0)
-        assert known_constants(q).variance == 1280.0
+        assert q.constants().variance == 1280.0
 
     def test_constant_gradient_constants(self):
         c = ConstantGradient(dim=2, coefficient=[1.0, 1.0])
-        consts = known_constants(c)
+        consts = c.constants()
         np.testing.assert_allclose(consts.grad_sq_bound, 2.0)
         np.testing.assert_allclose(consts.lipschitz, np.sqrt(2.0))
 
     def test_finite_sum_sample_count(self):
         fs = two_sample_finite_sum()
-        assert known_constants(fs).sample_count == 2
+        assert fs.constants().sample_count == 2
 
     def test_quadratic_unbounded_fields_are_unknown(self):
-        consts = known_constants(NoisyQuadratic(dim=2, variance=1.0))
+        consts = NoisyQuadratic(dim=2, variance=1.0).constants()
         assert consts.grad_sq_bound is None
         assert consts.lipschitz is None
 

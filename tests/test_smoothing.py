@@ -86,8 +86,7 @@ class TestSmoothedValue:
 
     def test_norm_function_gap_within_lipschitz_bound(self):
         sv = smoothed_value(norm_f, np.array([2.0, 1.0, 0.0]),
-                            SmoothingSpec(delta=0.4, samples=50_000), RngStream(2),
-                            vectorized=True)
+                            SmoothingSpec(delta=0.4, samples=50_000), RngStream(2))
         gap = abs(sv.estimate - np.linalg.norm([2.0, 1.0, 0.0]))
         assert gap <= 0.4 + 3 * sv.std_error
 
@@ -107,6 +106,22 @@ class TestSmoothedValue:
         sv = smoothed_value(q, np.ones(4), SmoothingSpec(delta=0.3, samples=5_000),
                             RngStream(4))
         np.testing.assert_allclose(sv.mean_direction_norm, 1.0, rtol=1e-9)
+
+    def test_callable_gets_rows_of_points(self):
+        """A callable f is only ever given an (m, dim) array, the point itself
+        included, and returns its m values."""
+        shapes = []
+
+        def f(X):
+            shapes.append(X.shape)
+            return np.sum(X * X, axis=1)
+
+        assert smoothed_value(f, np.ones(3), SmoothingSpec(delta=0.0),
+                              RngStream(0)).estimate == 3.0
+        smoothed_value(f, np.ones(3), SmoothingSpec(delta=0.2, samples=50), RngStream(0))
+        smoothing_gap_check(f, [np.ones(3), np.zeros(3)], delta=0.2, lipschitz=10.0,
+                            samples=50, rng=RngStream(1))
+        assert shapes == [(1, 3), (50, 3), (50, 3), (1, 3), (50, 3), (1, 3)]
 
     def test_overflowing_squares_raise(self):
         """Values near 1e200 are finite but their squares are not: the variance
@@ -129,7 +144,7 @@ class TestSmoothingGapCheck:
         """f = ||x|| at x = 0: every sphere sample is exactly delta, so the
         gap hits the bound delta * L_f with zero Monte-Carlo error."""
         report = smoothing_gap_check(norm_f, [np.zeros(3)], delta=0.5, lipschitz=1.0,
-                                     samples=10_000, rng=RngStream(1), vectorized=True)
+                                     samples=10_000, rng=RngStream(1))
         point = report.points[0]
         np.testing.assert_allclose(point.gap, 0.5, rtol=1e-12)
         assert point.passed
