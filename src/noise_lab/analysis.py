@@ -98,15 +98,13 @@ def weighted_norm_identity(x, y, alpha) -> dict:
 
 
 def stationarity_check(spec: Objective, x_star, directions: int,
-                       rng: Optional[RngStream] = None,
-                       grad_tol: float = 1e-8) -> dict:
+                       rng: RngStream, grad_tol: float = 1e-8) -> dict:
     """Compare the two equivalent stationarity certificates at x_star:
     grad f(x_star) = 0, and <grad f(x_star), y - x_star> >= 0 for all y.
     Sampled y come from a standard normal cloud around x_star plus the
     witness y = x_star - grad f(x_star)."""
     if directions < 1:
         raise ValueError(f"directions must be >= 1, got {directions}")
-    rng = rng or RngStream(0)
     x_star = np.asarray(x_star, dtype=float)
     g = spec.grad(x_star)
     grad_norm = float(np.linalg.norm(g))
@@ -396,12 +394,12 @@ def grid_monotone_decreasing(values: np.ndarray) -> bool:
     return bool(np.all(np.diff(values) < 0))
 
 
-def grid_convex(grid: np.ndarray, values: np.ndarray, rel_tol: float = 1e-9) -> bool:
+def grid_convex(grid: np.ndarray, values: np.ndarray) -> bool:
     """Discrete convexity on a (possibly uneven) grid: consecutive slopes
-    never decrease."""
+    never decrease, up to a relative rounding tolerance of 1e-9."""
     slopes = np.diff(values) / np.diff(grid)
     scale = np.maximum(np.abs(slopes[:-1]), np.abs(slopes[1:]))
-    return bool(np.all(np.diff(slopes) >= -rel_tol * np.maximum(scale, 1e-300)))
+    return bool(np.all(np.diff(slopes) >= -1e-9 * np.maximum(scale, 1e-300)))
 
 
 def _curve_checks(rng: RngStream) -> tuple[bool, bool]:

@@ -12,6 +12,7 @@ fails, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from dataclasses import asdict, replace
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, noise as noise_mod, smoothing, sweep as sweep_mod
-from .config import (POINT, SCHEMA, ConfigError, build_objective, build_optimizer,
+from .config import (POINT, SCHEMA, ConfigError, _checked, build_objective, build_optimizer,
                      load_config, read_json, resolve_seed, validate_config)
 from .optimizers import TraceOptions, run as run_optimizer
 from .problems import RNG_CONTRACT, RngStream
@@ -126,14 +127,8 @@ def _stop_rule_from(block: dict, spec) -> sweep_mod.StopRule:
         if ref is None:
             raise ConfigError("inner-product stop rule needs a reference_point",
                               "$.sweep.reference_point")
-        ref = [float(v) for v in ref]
-    try:
-        return sweep_mod.StopRule(
-            epsilon=block["epsilon"], kind=kind, reference_point=ref,
-            use_minibatch_norm=block.get("use_minibatch_norm", False),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), "$.sweep") from exc
+    # the schema has checked epsilon and kind, so StopRule accepts them
+    return sweep_mod.StopRule(epsilon=block["epsilon"], kind=kind, reference_point=ref)
 
 
 def cmd_sweep(args) -> int:
@@ -178,8 +173,7 @@ def _critical_report(spec, opt, stop, block, summary, seed) -> dict:
     unconverged = [s.b for s in summary.per_batch if s.converged_fraction < 1.0]
     if unconverged:
         notes.append(f"excluded from argmin (not fully converged): {unconverged}")
-    notes.append("stop rule gradient norms: "
-                 + ("minibatch" if stop.use_minibatch_norm else "exact full gradient"))
+    notes.append("stop rule gradient norms: exact full gradient")
 
     report = {
         "empirical_b_star": b_star,
@@ -299,8 +293,8 @@ def cmd_sharpness(args) -> int:
             rho=block["rho"], c=block.get("c"), p=block["p"],
             method=block["method"], iters=block["iters"],
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc), "$.sharpness") from exc
+    except ValueError as exc:       # the schema leaves only the sign of c to check
+        raise ConfigError(str(exc), "$.sharpness.c") from exc
     value = smoothing.adaptive_sharpness(spec, np.asarray(point, dtype=float),
                                          spec_sharp, rng=RngStream(seed))
     if not math.isfinite(value):         # rho carried the perturbed points out of range
@@ -348,29 +342,30 @@ def cmd_table1(args) -> int:
     return 0
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+def _flag(schema: dict):
+    """An argparse type checking a flag's text against its SCHEMA node, read as JSON
+    (2.0 is a number, and 2 the float 2.0 at a "number" node) or else as a bare word
+    ("inf"), an array node's as comma separated items; an error names the flag."""
+    def parse(word: str):
+        try:
+            return json.loads(word, parse_int=float if schema.get("type") == "number" else int)
+        except ValueError:
+            return word
 
-
-def _int_at_least(low: int):
-    # argparse names the type function in its message for a non-integer: one name for all
-    def _positive_int(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    def check(text: str):
+        array, errors, nonfinite = schema.get("type") == "array", [], []
+        value = _checked(schema, [parse(v) for v in text.split(",")] if array else parse(text),
+                         (), errors, nonfinite)
+        if errors or nonfinite:
+            raise argparse.ArgumentTypeError(errors[0][1] if errors else "not a finite number")
         return value
-    return _positive_int
+    return check
 
 
-def _int_list(text: str) -> list:
-    try:
-        return [_int_at_least(1)(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma separated integers, got {text!r}") from None
+# the flags that override a key of their subcommand's block, checked by the key's node
+BLOCK_FLAGS = {"sweep": ("batch_grid", "epsilon", "seeds", "max_steps"),
+               "smooth": ("delta", "dist", "samples"),
+               "sharpness": ("rho", "p", "iters", "method")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "and audit the analytic bounds on synthetic objectives.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    jobs_help = "accepted and ignored (kept for scripts); cells run in one ordered loop"
+    jobs = {"type": _flag({"type": "integer", "minimum": 1}), "default": 1,
+            "help": "accepted and ignored (kept for scripts); cells run in one ordered loop"}
 
     def command(name, handler, help):
         # a block flag not given stays unset, so _inputs keeps the config's value
@@ -388,36 +384,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON experiment config")
         p.add_argument("--out", default=None,
                        help="output directory (default: config output_dir or .)")
+        for key in BLOCK_FLAGS.get(name, ()):
+            node = SCHEMA["properties"][name]["properties"][key]
+            comma = ", comma separated" if node.get("type") == "array" else ""
+            p.add_argument("--" + key.replace("_", "-"), type=_flag(node),
+                           help=f"overrides the config's {name}.{key}{comma}")
         p.set_defaults(handler=handler)
         return p
 
     command("run", cmd_run, "run one optimizer trace, export JSONL")
-
-    p = command("sweep", cmd_sweep, "batch-size sweep with critical-batch report")
-    p.add_argument("--batch-grid", type=_int_list, help="comma separated batch sizes")
-    p.add_argument("--epsilon", type=_finite_float)
-    p.add_argument("--seeds", type=_int_at_least(1))
-    p.add_argument("--max-steps", type=_int_at_least(1))
-    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=jobs_help)
-
+    command("sweep", cmd_sweep, "batch-size sweep with critical-batch report").add_argument(
+        "--jobs", **jobs)
     command("noise", cmd_noise, "per-step noise norms and summary")
-
-    p = command("smooth", cmd_smooth, "smoothed-value gap check")
-    p.add_argument("--delta", type=_finite_float)
-    p.add_argument("--dist", choices=list(smoothing.DISTRIBUTIONS))
-    # one sample leaves the standard error, and so the gap allowance, undefined
-    p.add_argument("--samples", type=_int_at_least(2))
-    p.add_argument("--points-file", default=None, help="JSON array of points")
-
-    p = command("sharpness", cmd_sharpness, "worst-case adaptive sharpness lower bound")
-    p.add_argument("--rho", type=_finite_float)
-    # the config's p is the int 2 or the string "inf"
-    p.add_argument("--p", type=lambda s: 2 if s == "2" else s, choices=[2, "inf"])
-    p.add_argument("--iters", type=_int_at_least(1))
-    p.add_argument("--method", choices=list(smoothing.SHARPNESS_METHODS))
-
-    p = command("verify", cmd_verify, "run the identity/bound suite")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=jobs_help)
+    command("smooth", cmd_smooth, "smoothed-value gap check").add_argument(
+        "--points-file", default=None, help="JSON array of points")
+    command("sharpness", cmd_sharpness, "worst-case adaptive sharpness lower bound")
+    command("verify", cmd_verify, "run the identity/bound suite").add_argument("--jobs", **jobs)
 
     p = sub.add_parser("table1", help="print the built-in variance back-estimation fixture")
     p.add_argument("--out", help="also write table1.txt here")

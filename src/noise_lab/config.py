@@ -77,7 +77,6 @@ SCHEMA = {
                 "seeds": {"type": "integer", "minimum": 1},
                 "max_steps": {"type": "integer", "minimum": 1},
                 "stop_kind": {"enum": list(STOP_KINDS)},
-                "use_minibatch_norm": {"type": "boolean"},
                 "x0": POINT,
                 "reference_point": POINT,
             },
@@ -253,10 +252,20 @@ def resolve_seed(cfg: dict) -> int:
     return int(cfg.get("master_seed", 0))
 
 
+def _no_booleans(value, path: str):
+    """ConfigError at a param's first boolean, which float() would read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{value!r} is not of type 'number'", path)
+    for i, item in enumerate(value if isinstance(value, list) else ()):
+        _no_booleans(item, f"{path}[{i}]")
+
+
 def build_objective(cfg: dict) -> Objective:
     block = cfg.get("problem")
     if block is None:
         raise ConfigError("missing required block", "$.problem")
+    for key, value in (block.get("params") or {}).items():
+        _no_booleans(value, f"$.problem.params.{key}")
     try:
         return make_objective(
             kind=block["kind"],

@@ -155,10 +155,10 @@ class TailStats:
     tail_mass: dict    # {k: fraction of samples beyond k standard deviations}
 
 
-def tail_stats(samples, ks=(3, 4, 5)) -> TailStats:
-    """Moment statistics and empirical k-sigma tail masses; a light-tailed
-    sample shows excess kurtosis near or below zero and rapidly vanishing
-    tail mass."""
+def tail_stats(samples) -> TailStats:
+    """Moment statistics and empirical k-sigma tail masses for k = 3, 4, 5;
+    a light-tailed sample shows excess kurtosis near or below zero and
+    rapidly vanishing tail mass."""
     x = np.asarray(samples, dtype=float).ravel()
     n = x.size
     if n < 30:
@@ -169,12 +169,12 @@ def tail_stats(samples, ks=(3, 4, 5)) -> TailStats:
     var = float(np.var(x, ddof=1))
     if m2 == 0.0:
         kurt = 0.0
-        masses = {k: 0.0 for k in ks}
+        masses = {k: 0.0 for k in (3, 4, 5)}
     else:
         m4 = float(np.mean(centered ** 4))
         kurt = m4 / (m2 * m2) - 3.0
         sd = math.sqrt(m2)
-        masses = {k: float(np.mean(np.abs(centered) > k * sd)) for k in ks}
+        masses = {k: float(np.mean(np.abs(centered) > k * sd)) for k in (3, 4, 5)}
     return TailStats(
         sample_count=n,
         mean=mean,

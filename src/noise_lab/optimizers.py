@@ -299,9 +299,8 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
             for c in range(cells)]
 
 
-def run(spec: Objective, config: OptimizerConfig, x0=None, stop=None,
-        max_steps: int = 1000, rng: Optional[RngStream] = None,
-        trace_options: Optional[TraceOptions] = None) -> Trace:
+def run(spec: Objective, config: OptimizerConfig, x0=None, stop=None, max_steps: int = 1000,
+        *, rng: RngStream, trace_options: Optional[TraceOptions] = None) -> Trace:
     """Drive the configured algorithm against the objective's minibatch
     oracle until the stop rule fires, the step cap is reached, or the
     iterate diverges: the one-cell case of `simulate`.
@@ -309,5 +308,5 @@ def run(spec: Objective, config: OptimizerConfig, x0=None, stop=None,
     The minibatch at step t comes from rng.generator(t), so runs sharing an
     RngStream share noise draw-for-draw.
     """
-    return simulate(spec, config, [rng if rng is not None else RngStream(0)], x0=x0,
-                    stop=stop, max_steps=max_steps, trace_options=trace_options)[0]
+    return simulate(spec, config, [rng], x0=x0, stop=stop, max_steps=max_steps,
+                    trace_options=trace_options)[0]

@@ -26,7 +26,8 @@ below by random search or projected sign ascent.
 
 The smoothing functions take f as an Objective or as a callable that maps
 an (m, dim) array of points to their m values; adaptive sharpness takes an
-Objective, whose gradient sign ascent follows.
+Objective, whose gradient sign ascent follows. Every function that draws
+takes the RngStream it draws from: none falls back to a default seed.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ class GapReport:
 
 def smoothing_gap_check(f, points, delta: float, lipschitz: Optional[float] = None,
                         samples: int = 100_000, dist: str = "unit-sphere-uniform",
-                        rng: Optional[RngStream] = None) -> GapReport:
+                        *, rng: RngStream) -> GapReport:
     """Check |f_hat_delta(x) - f(x)| <= delta * L_f at each point, with a
     3-standard-error Monte-Carlo allowance. L_f defaults to the
     objective's known Lipschitz constant and must be supplied otherwise."""
@@ -215,7 +216,6 @@ def smoothing_gap_check(f, points, delta: float, lipschitz: Optional[float] = No
             raise ValueError("Lipschitz constant unknown; pass lipschitz= explicitly")
     if samples < 2:     # one sample has no standard error, so no Monte-Carlo allowance
         raise ValueError(f"the gap check needs samples >= 2, got {samples}")
-    rng = rng or RngStream(0)
     spec = SmoothingSpec(delta=delta, dist=dist, samples=samples)
     results = []
     for i, point in enumerate(points):
@@ -248,8 +248,7 @@ class MeanUpdateReport:
 
 def gd_vs_nshb_expectation(spec: Objective, x_start, eta: float, beta: float,
                            replicas: int = 10_000, burn_in: int = 200,
-                           rng: Optional[RngStream] = None,
-                           batch_size: int = 1) -> MeanUpdateReport:
+                           *, rng: RngStream, batch_size: int = 1) -> MeanUpdateReport:
     """Estimate E[x_{t+1}] - (x_t - eta * grad f(x_t)) after burn_in steps.
 
     Replicas advance in lockstep with independent noise histories, so
@@ -259,14 +258,12 @@ def gd_vs_nshb_expectation(spec: Objective, x_start, eta: float, beta: float,
     burned-in buffer E[omega_t] vanishes geometrically and the mean lands
     within Monte-Carlo error of zero; with no burn-in the zero-initialised
     buffer leaves the known bias of size eta * beta * ||grad f(x_start)||.
+    A beta outside [0, 1) fails nshb_step's check at the first step.
     """
     if replicas < 2:
         raise ValueError(f"replicas must be >= 2, got {replicas}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must be in [0, 1), got {beta}")
-    rng = rng or RngStream(0)
     x_start = np.asarray(x_start, dtype=float)
 
     state = OptimizerState.initial(np.tile(x_start, (replicas, 1)))
@@ -294,18 +291,23 @@ def gd_vs_nshb_expectation(spec: Objective, x_start, eta: float, beta: float,
     )
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||_2, rescaled only when its squares overflow: a norm in range keeps its bits."""
+    norm = float(np.linalg.norm(v))
+    top = float(np.max(np.abs(v))) if math.isinf(norm) else math.inf
+    return norm if math.isinf(top) else top * float(np.linalg.norm(v / top))
+
+
 def _project_feasible(delta: np.ndarray, rho: float, c: np.ndarray, p: str) -> np.ndarray:
     if p == "inf":
         return np.clip(delta, -rho * c, rho * c)
-    scaled = delta / c
-    norm = float(np.linalg.norm(scaled))
+    norm = _norm(delta / c)
     if norm > rho and norm > 0:
         return delta * (rho / norm)
     return delta
 
 
-def adaptive_sharpness(spec: Objective, w, sharp: SharpnessSpec,
-                       rng: Optional[RngStream] = None) -> float:
+def adaptive_sharpness(spec: Objective, w, sharp: SharpnessSpec, rng: RngStream) -> float:
     """Lower bound on max f(w + delta) - f(w) over ||delta / c||_p <= rho.
 
     random-search evaluates iters feasible perturbations; sign-ascent takes
@@ -314,7 +316,6 @@ def adaptive_sharpness(spec: Objective, w, sharp: SharpnessSpec,
     result is non-negative, and the best value seen is kept, so more
     iterations never lower it.
     """
-    rng = rng or RngStream(0)
     w = np.asarray(w, dtype=float)
     c = sharp.c if sharp.c is not None else np.ones_like(w)
     if c.shape != w.shape:
@@ -332,7 +333,7 @@ def adaptive_sharpness(spec: Objective, w, sharp: SharpnessSpec,
         else:
             deltas = sharp.rho * c * draw_directions("ball-uniform", w.size, sharp.iters, gen)
         vals = spec.value_many(w + deltas) - base
-        return float(max(best, np.max(vals)))
+        return float(np.maximum(best, np.max(vals)))     # a NaN value is kept, not dropped
 
     delta = _project_feasible(sharp.rho * c * gen.uniform(-0.5, 0.5, size=w.size),
                               sharp.rho, c, p)
@@ -346,8 +347,8 @@ def adaptive_sharpness(spec: Objective, w, sharp: SharpnessSpec,
         if p == "inf":
             delta = _project_feasible(delta + step * c * np.sign(g), sharp.rho, c, p)
         else:
-            gn = float(np.linalg.norm(c * g))
+            gn = _norm(c * g)
             if gn > 0:
                 delta = _project_feasible(delta + step * (c * c * g) / gn, sharp.rho, c, p)
-        best = max(best, float(spec.value_many(w + delta[None, :])[0] - base))
+        best = float(np.maximum(best, spec.value_many(w + delta[None, :])[0] - base))
     return best

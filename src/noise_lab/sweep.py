@@ -38,15 +38,13 @@ class DomainError(ValueError):
 
 
 class _CumulativeNormStop:
-    def __init__(self, epsilon: float, use_minibatch_norm: bool):
+    def __init__(self, epsilon: float):
         self.epsilon = epsilon
-        self.use_minibatch = use_minibatch_norm
         self.total = 0.0
         self.count = 0
 
     def observe(self, t, grad, minibatch_grad, x) -> bool:
-        g = minibatch_grad if self.use_minibatch else grad
-        self.total += math.sqrt(g.dot(g))      # np.linalg.norm(g) of a real vector, bit for bit
+        self.total += math.sqrt(grad.dot(grad))   # np.linalg.norm of a real vector, bit for bit
         self.count += 1
         return self.total / self.count < self.epsilon
 
@@ -67,11 +65,10 @@ class _InnerProductStop:
 @dataclass(frozen=True)
 class StopRule:
     """Epsilon-approximation rule evaluated each step on exact full
-    gradients.
+    gradients, never on the minibatch ones.
 
     cumulative-grad-norm: stop at the first t where the mean of
-    ||grad f(x_s)|| over s <= t is strictly below epsilon (a minibatch-norm
-    variant is available behind use_minibatch_norm).
+    ||grad f(x_s)|| over s <= t is strictly below epsilon.
 
     inner-product: stop once the running mean of <x_s - ref, grad f(x_s)>
     is at most epsilon^2; requires a reference point.
@@ -80,7 +77,6 @@ class StopRule:
     epsilon: float
     kind: str = "cumulative-grad-norm"
     reference_point: Optional[np.ndarray] = None
-    use_minibatch_norm: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -95,7 +91,7 @@ class StopRule:
 
     def start(self):
         if self.kind == "cumulative-grad-norm":
-            return _CumulativeNormStop(self.epsilon, self.use_minibatch_norm)
+            return _CumulativeNormStop(self.epsilon)
         return _InnerProductStop(self.epsilon, self.reference_point)
 
 

@@ -82,10 +82,11 @@ class TestExitCodes:
 
     def test_sweep_epsilon_zero_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SWEEP_CFG)
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path),
-                     "--epsilon", "0"]) == 2
-        err = capsys.readouterr().err
-        assert "epsilon" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--out", str(tmp_path), "--epsilon", "0"])
+        assert exc.value.code == 2
+        assert ("argument --epsilon: 0.0 is less than or equal to the minimum of 0"
+                in capsys.readouterr().err)
 
     def test_malformed_config_names_path(self, tmp_path, capsys):
         bad = dict(SWEEP_CFG)
@@ -123,7 +124,8 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", cfg, "--out", str(out), "--jobs", jobs])
         assert exc.value.code == 2
-        assert "argument --jobs: must be >= 1" in capsys.readouterr().err
+        assert (f"argument --jobs: {jobs} is less than the minimum of 1"
+                in capsys.readouterr().err)
         assert not out.exists()
 
 
@@ -142,7 +144,7 @@ NO_CONFIG = "no --config"
 BAD_INPUTS = {
     "missing-config-file": ("run", [], None, None, "--config"),
     "empty-batch-size": ("sweep", ["--batch-grid", "8,,16"], {}, None,
-                         "argument --batch-grid: expected comma separated integers"),
+                         "argument --batch-grid: '' is not of type 'integer'"),
     "descending-batch-grid": ("sweep", ["--batch-grid", "16,8"], {}, None,
                               "--batch-grid: batch sizes must be strictly ascending"),
     "repeated-batch-size": ("sweep", ["--batch-grid", "8,8,16"], {}, None,
@@ -164,26 +166,27 @@ BAD_INPUTS = {
                       "problem": {"kind": "noisy-quadratic", "dim": 2, "variance": 1.0},
                       "optimizer": {"algo": "sgd", "eta": 2.585, "batch_size": 1},
                       "noise": {"steps": 400}}, None, "$.optimizer: the run diverged at step 152"),
-    "jobs-zero": ("sweep", ["--jobs", "0"], {}, None, "argument --jobs: must be >= 1"),
-    # an int flag below its schema minimum names the flag; the same value in a config
-    # file names its JSON path
+    "jobs-zero": ("sweep", ["--jobs", "0"], {}, None,
+                  "argument --jobs: 0 is less than the minimum of 1"),
+    # a flag outside its schema node names the flag; the same value in a config file
+    # names its JSON path
     "sweep-seeds-zero-flag": ("sweep", ["--seeds", "0"], {}, None,
-                              "argument --seeds: must be >= 1"),
+                              "argument --seeds: 0 is less than the minimum of 1"),
     "sweep-seeds-negative-flag": ("sweep", ["--seeds", "-3"], {}, None,
-                                  "argument --seeds: must be >= 1"),
+                                  "argument --seeds: -3 is less than the minimum of 1"),
     "sweep-max-steps-zero-flag": ("sweep", ["--max-steps", "0"], {}, None,
-                                  "argument --max-steps: must be >= 1"),
+                                  "argument --max-steps: 0 is less than the minimum of 1"),
     "sweep-batch-grid-zero-flag": ("sweep", ["--batch-grid", "0,8"], {}, None,
-                                   "argument --batch-grid: must be >= 1"),
+                                   "argument --batch-grid: 0 is less than the minimum of 1"),
     "smooth-samples-zero-flag": ("smooth", ["--samples", "0"], {}, None,
-                                 "argument --samples: must be >= 2"),
+                                 "argument --samples: 0 is less than the minimum of 2"),
     # one sample has no standard error: smooth.json would hold "std_error": Infinity
     "smooth-samples-one-flag": ("smooth", ["--samples", "1"], {"smooth": {"box_radius": 1.0}},
-                                None, "argument --samples: must be >= 2, got 1"),
+                                None, "argument --samples: 1 is less than the minimum of 2"),
     "smooth-samples-one-config": ("smooth", [], {"smooth": {"samples": 1, "box_radius": 1.0}},
                                   None, "$.smooth.samples: 1 is less than the minimum of 2"),
     "sharpness-iters-zero-flag": ("sharpness", ["--iters", "0"], {}, None,
-                                  "argument --iters: must be >= 1"),
+                                  "argument --iters: 0 is less than the minimum of 1"),
     "sweep-seeds-zero-config": ("sweep", [], {"sweep": dict(SWEEP_CFG["sweep"], seeds=0)}, None,
                                 "$.sweep.seeds"),
     "curvature-wrong-length": ("run", [], {"problem": {"kind": "noisy-quadratic", "dim": 2,
@@ -266,6 +269,23 @@ BAD_INPUTS = {
     "sharpness-rho-overflow": ("sharpness", [], {"sharpness": {"rho": 1e300, "p": 2,
                                                                "method": "random-search"}},
                                None, "$.sharpness.rho"),
+    # sign ascent at p = 2: the squares in the 2-norm overflow, and the value is NaN
+    "sharpness-rho-overflow-sign-ascent": ("sharpness", [], {"sharpness": {"rho": 1e200, "p": 2}},
+                                           None, "$.sharpness.rho"),
+    "sharpness-scaling-not-positive": (
+        "sharpness", [], {"problem": {"kind": "nonconvex-sine-bowl", "dim": 2},
+                          "sharpness": {"c": [1, 0]}},
+        None, "$.sharpness.c: all scaling components must be positive"),
+    # float() would read a boolean param as 0 or 1
+    "curvature-boolean": ("run", [], {"problem": {"kind": "noisy-quadratic", "dim": 2,
+                                                  "params": {"curvature": True}}},
+                          None, "$.problem.params.curvature: True is not of type 'number'"),
+    "amplitude-boolean": ("run", [], {"problem": {"kind": "nonconvex-sine-bowl", "dim": 2,
+                                                  "params": {"amplitude": True}}},
+                          None, "$.problem.params.amplitude: True is not of type 'number'"),
+    "problem-x0-booleans": ("run", [], {"problem": {"kind": "noisy-quadratic", "dim": 2,
+                                                    "params": {"x0": [True, False]}}},
+                            None, "$.problem.params.x0[0]: True is not of type 'number'"),
     # ~1e170 gradients leave the iterate in range, but their squared norms overflow
     "noise-squared-norms-overflow": (
         "noise", [], {"master_seed": 1,
@@ -300,6 +320,69 @@ def test_bad_input_exits_2_naming_its_path(tmp_path, capsys, monkeypatch, case):
     assert exit_status([command, *config, "--out", str(out), *flags]) == 2
     assert path in capsys.readouterr().err
     assert not out.exists()
+
+
+# (subcommand, block key, flag text, the JSON value the text reads as): a value
+# outside the key's schema node, one case at least for every flag of cli.BLOCK_FLAGS
+BAD_FLAGS = [
+    ("sweep", "batch_grid", "0,8", [0, 8]),
+    ("sweep", "epsilon", "-1", -1.0),
+    ("sweep", "epsilon", "0", 0.0),
+    ("sweep", "seeds", "0", 0),
+    ("sweep", "max_steps", "0", 0),
+    ("smooth", "delta", "-0.5", -0.5),
+    ("smooth", "dist", "cube", "cube"),
+    ("smooth", "samples", "1", 1),
+    ("sharpness", "rho", "-1", -1.0),
+    ("sharpness", "p", "1", 1),
+    ("sharpness", "iters", "0", 0),
+    ("sharpness", "method", "newton", "newton"),
+]
+
+
+def test_bad_flags_cover_every_block_flag():
+    assert {(c, k) for c, k, _, _ in BAD_FLAGS} == {
+        (c, k) for c, keys in cli.BLOCK_FLAGS.items() for k in keys}
+
+
+@pytest.mark.parametrize("command, key, text, value", BAD_FLAGS)
+def test_flag_outside_its_node_names_the_flag(tmp_path, capsys, command, key, text, value):
+    """The flag's error is the schema walk's message for the same value in a
+    config file, under the flag's name, and nothing runs."""
+    with pytest.raises(ConfigError) as schema_error:
+        validate_config({command: {key: value}})
+    message = str(schema_error.value).split(": ", 1)[1]
+    out = tmp_path / "out"
+    flag = "--" + key.replace("_", "-")
+    assert exit_status([command, "--config", write_cfg(tmp_path, SWEEP_CFG), "--out", str(out),
+                        flag, text]) == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_p_flag_reads_as_json(tmp_path, capsys):
+    """--p 2.0 runs as the enum member 2, as "p": 2.0 does in a config."""
+    flag_out, config_out = tmp_path / "flag", tmp_path / "config"
+    cfg = dict(SWEEP_CFG, sharpness={"method": "random-search", "iters": 8})
+    assert main(["sharpness", "--config", write_cfg(tmp_path, cfg), "--out", str(flag_out),
+                 "--p", "2.0"]) == 0
+    cfg["sharpness"] = dict(cfg["sharpness"], p=2.0)
+    assert main(["sharpness", "--config", write_cfg(tmp_path, cfg, "p.json"),
+                 "--out", str(config_out)]) == 0
+    written = (flag_out / "sharpness.json").read_bytes()
+    assert json.loads(written)["p"] == 2
+    assert written == (config_out / "sharpness.json").read_bytes()
+
+
+def test_sign_ascent_sharpness_past_squared_overflow(tmp_path, capsys):
+    """At p = 2 and rho = 1e200 the squares of the 2-norm overflow; the linear
+    objective's sharpness is still rho * ||coefficient||_2 = sqrt(2) * 1e200."""
+    cfg = {"master_seed": 0, "problem": {"kind": "constant-gradient", "dim": 2},
+           "sharpness": {"rho": 1e200, "p": 2}}
+    out = tmp_path / "out"
+    assert main(["sharpness", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    value = json.loads((out / "sharpness.json").read_text())["value"]
+    assert value == pytest.approx(np.sqrt(2.0) * 1e200, rel=0.01)
 
 
 def test_non_finite_minibatch_gradient_ends_cells_as_diverged(tmp_path, capsys):

@@ -27,7 +27,7 @@ FULL = {
     "run": {"max_steps": 10, "x0": [1.0, 2.0], "epsilon": 0.1, "record_x": True,
             "reference_point": [0.0, 0.0]},
     "sweep": {"batch_grid": [1, 2], "epsilon": 0.5, "seeds": 2, "max_steps": 100,
-              "stop_kind": "inner-product", "use_minibatch_norm": False, "x0": [1.0, 1.0],
+              "stop_kind": "inner-product", "x0": [1.0, 1.0],
               "reference_point": [0.0, 0.0]},
     "noise": {"steps": 10, "burn_in": 2, "x0": [1.0, 1.0]},
     "smooth": {"delta": 0.1, "dist": "ball-uniform", "samples": 10, "points": [[0.0, 1.0], [2, 3]],

@@ -208,7 +208,7 @@ class TestMeanUpdateIdentity:
     def test_validation(self):
         with pytest.raises(ValueError):
             gd_vs_nshb_expectation(self.spec, np.zeros(2), eta=0.1, beta=0.9,
-                                   replicas=1)
+                                   replicas=1, rng=RngStream(0))
 
     @pytest.mark.parametrize("kind", ["constant-gradient", "finite-sum-least-squares"])
     def test_burn_in_leaves_the_exact_gradients_to_the_draw(self, monkeypatch, kind):
@@ -291,6 +291,14 @@ class TestAdaptiveSharpness:
         value = adaptive_sharpness(q, w, spec, RngStream(6))
         deltas = 0.8 * c * draw_directions("ball-uniform", 3, 64, RngStream(6).generator())
         assert value == max(0.0, float(np.max(q.value_many(w + deltas) - q.value(w))))
+
+    def test_non_finite_value_is_kept(self):
+        """At rho = 1e200 the quadratic's values overflow: the NaN they leave is
+        returned, not dropped for the zero perturbation's 0.0."""
+        spec = SharpnessSpec(rho=1e200, p=2, method="sign-ascent", iters=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = adaptive_sharpness(NoisyQuadratic(dim=2), np.zeros(2), spec, RngStream(0))
+        assert np.isnan(value)
 
     def test_p2_projection_respected(self):
         q = NoisyQuadratic(dim=2)
