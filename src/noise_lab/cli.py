@@ -16,11 +16,12 @@ import json
 import math
 import sys
 from dataclasses import asdict, replace
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, noise as noise_mod, smoothing, sweep as sweep_mod
+from . import sweep as sweep_mod
 from .config import (POINT, SCHEMA, ConfigError, _checked, build_objective, build_optimizer,
                      load_config, read_json, resolve_seed, validate_config)
 from .optimizers import TraceOptions, run as run_optimizer
@@ -28,6 +29,15 @@ from .problems import RNG_CONTRACT, RngStream
 from .reporting import dump_json, emit_csv, emit_jsonl, json_number
 
 DEFAULT_BATCH_GRID = [2 ** k for k in range(3, 14)]
+
+
+def __getattr__(name: str):
+    """cli.analysis, cli.noise_mod and cli.smoothing, imported on first use (PEP 562)."""
+    module = {"analysis": "analysis", "noise_mod": "noise", "smoothing": "smoothing"}.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return import_module(f".{module}", __package__)
+
 
 # rows of the built-in arithmetic fixture: (group, eta, eps, b*)
 _FIXTURE_ROWS = [
@@ -81,9 +91,10 @@ def _inputs(args, name: str, **defaults):
     block = {k: v(spec) if callable(v) else v for k, v in defaults.items()}
     block.update(cfg.get(name, {}))
     block.update((k, v) for k, v in vars(args).items() if k in fields)
-    # verify runs at its own default seed unless the config or NOISE_LAB_SEED sets one
-    seed = resolve_seed({"master_seed": analysis.VerifySettings().master_seed, **cfg}
-                        if verify else cfg)
+    if verify:      # it runs at its own default seed unless the config or NOISE_LAB_SEED sets one
+        from . import analysis
+        cfg = {"master_seed": analysis.VerifySettings().master_seed, **cfg}
+    seed = resolve_seed(cfg)
     rest = {k: v for k, v in cfg.items() if k != "output_dir"}
     resolved = validate_config({**rest, "master_seed": seed, name: block})
     # every point, a POINT field or one of an array of them, has the problem's dim coordinates
@@ -216,6 +227,7 @@ def _critical_report(spec, opt, stop, block, summary, seed) -> dict:
 
 
 def cmd_noise(args) -> int:
+    from . import noise as noise_mod
     spec, block, seed, resolved, out = _inputs(args, "noise", steps=1500)
     opt = build_optimizer(resolved)
     burn_in = block.get("burn_in", noise_mod.default_burn_in(opt.effective_eta_beta()[1]))
@@ -245,6 +257,7 @@ def cmd_noise(args) -> int:
 
 
 def cmd_smooth(args) -> int:
+    from . import smoothing
     if args.points_file:
         args.points = read_json(args.points_file, "--points-file")
     spec, block, seed, resolved, out = _inputs(
@@ -285,6 +298,7 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_sharpness(args) -> int:
+    from . import smoothing
     spec, block, seed, resolved, out = _inputs(
         args, "sharpness", rho=0.5, p="inf", iters=50, method="sign-ascent")
     point = block.get("point", [float(v) for v in spec.default_start()])
@@ -313,6 +327,7 @@ def cmd_sharpness(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import analysis
     _, block, seed, resolved, out = _inputs(args, "verify")
     settings = analysis.VerifySettings(master_seed=seed, **block)
     results = analysis.run_verify_suite(settings)

@@ -17,10 +17,13 @@ from pathlib import Path
 
 from .optimizers import ALGOS, OptimizerConfig
 from .problems import KINDS, Objective, make_objective
-from .smoothing import DISTRIBUTIONS, SHARPNESS_METHODS
 from .sweep import STOP_KINDS
 
 SEED_ENV_VAR = "NOISE_LAB_SEED"
+
+# smoothing's vocabularies, here so that a config loads without importing smoothing
+DISTRIBUTIONS = ("unit-sphere-uniform", "gaussian-scaled", "ball-uniform")
+SHARPNESS_METHODS = ("random-search", "sign-ascent")
 
 # a point in the problem's space: the CLI checks its length against the problem's dim
 POINT = {"type": "array", "items": {"type": "number"}, "minItems": 1}

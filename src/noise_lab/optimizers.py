@@ -84,42 +84,48 @@ class OptimizerState:
         return cls(x=x0, momentum=np.zeros_like(x0), t=0)
 
 
-def _check_grad(g) -> np.ndarray:
+def _sgd(state: OptimizerState, g: np.ndarray, eta: float) -> None:
+    state.x = state.x - eta * g
+
+
+def _nshb(state: OptimizerState, g: np.ndarray, eta: float, beta: float) -> None:
+    state.momentum = (1.0 - beta) * g + beta * state.momentum
+    state.x = state.x - eta * state.momentum
+
+
+def _shb(state: OptimizerState, g: np.ndarray, gamma: float, beta_bar: float) -> None:
+    state.momentum = g + beta_bar * state.momentum
+    state.x = state.x - gamma * state.momentum
+
+
+def _checked_step(update, state: OptimizerState, g, *args) -> OptimizerState:
+    """update, for a direct caller: a g that is not finite raises FloatingPointError."""
     g = np.asarray(g, dtype=float)
     # a NaN or infinite entry makes the max NaN or inf; an empty g passes
     if not np.maximum.reduce(np.abs(g), axis=None, initial=0.0) < np.inf:
         raise FloatingPointError("non-finite gradient passed to optimizer step")
-    return g
+    update(state, g, *args)
+    state.t += 1
+    return state
 
 
 def sgd_step(state: OptimizerState, g, eta: float) -> OptimizerState:
     """x <- x - eta * g."""
-    g = _check_grad(g)
-    state.x = state.x - eta * g
-    state.t += 1
-    return state
+    return _checked_step(_sgd, state, g, eta)
 
 
 def nshb_step(state: OptimizerState, g, eta: float, beta: float) -> OptimizerState:
     """d <- (1 - beta) g + beta d;  x <- x - eta * d."""
-    g = _check_grad(g)
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
-    state.momentum = (1.0 - beta) * g + beta * state.momentum
-    state.x = state.x - eta * state.momentum
-    state.t += 1
-    return state
+    return _checked_step(_nshb, state, g, eta, beta)
 
 
 def shb_step(state: OptimizerState, g, gamma: float, beta_bar: float) -> OptimizerState:
     """m <- g + beta_bar m;  x <- x - gamma * m."""
-    g = _check_grad(g)
     if not 0.0 <= beta_bar < 1.0:
         raise ValueError(f"beta_bar must be in [0, 1), got {beta_bar}")
-    state.momentum = g + beta_bar * state.momentum
-    state.x = state.x - gamma * state.momentum
-    state.t += 1
-    return state
+    return _checked_step(_shb, state, g, gamma, beta_bar)
 
 
 def map_shb_to_nshb(gamma: float, beta_bar: float) -> tuple[float, float]:
@@ -201,7 +207,7 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
     x0; returns one Trace per stream, in order.
 
     Each cell runs as if alone: its step-t minibatch comes from
-    streams[r].generator(t), the step functions above update the stacked
+    streams[r].generator(t), the update cores above step the stacked
     state, and a cell leaves the stack once it diverges or its own
     accumulator from stop.start() fires. observe(t, grad, minibatch_grad,
     x) sees one cell's vectors and returns True to end it (see
@@ -227,10 +233,10 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
             cols["dist_to_ref"] = np.empty((cells, max_steps))
 
     # per-step constants, looked up once per call
-    step, step_args, momentum = {                  # momentum: the update follows the buffer
-        "sgd": (sgd_step, (config.eta,), False),
-        "nshb": (nshb_step, (config.eta, config.beta), True),
-        "shb": (shb_step, (config.gamma, config.beta_bar), True)}[config.algo]
+    update, update_args, momentum = {              # momentum: the update follows the buffer
+        "sgd": (_sgd, (config.eta,), False),
+        "nshb": (_nshb, (config.eta, config.beta), True),
+        "shb": (_shb, (config.gamma, config.beta_bar), True)}[config.algo]
     b, grad_many, draw = config.batch_size, spec.grad_many, spec.minibatch_grad_ensemble
     record, record_x, record_f = opts.record, opts.record_x, opts.record_f
     live = np.arange(cells)               # cell id of each row of the stacked state
@@ -239,20 +245,19 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
     exit_reason = np.full(cells, "step-cap", dtype=object)
     x_final = np.empty((cells, spec.dim))
     for t in range(max_steps):
+        if not live.size:         # every cell has ended, or there was none
+            break
         x_t = state.x
         g = grad_many(x_t)
         gb = draw(x_t, b, [s.generator(t) for s in live_streams], g)
-        try:
-            step(state, gb, *step_args)
-        except FloatingPointError:
-            # a row whose minibatch gradient is not finite has no next iterate:
-            # the other rows step, and its iterate and buffer become NaN, which
-            # the divergence test below ends at step t + 1
-            finite = np.maximum.reduce(np.abs(gb), axis=1) < np.inf
-            stepped = OptimizerState(state.x[finite], state.momentum[finite])
-            step(stepped, gb[finite], *step_args)
-            state.x, state.momentum = np.full_like(x_t, np.nan), np.full_like(x_t, np.nan)
-            state.x[finite], state.momentum[finite] = stepped.x, stepped.momentum
+        update(state, gb, *update_args)
+        # one test of the whole stack, row by row only when it fails; a NaN or infinite
+        # coordinate fails it too, as does a row whose minibatch gradient is not finite:
+        # that row has no next iterate, so its iterate and buffer become NaN
+        in_range = np.maximum.reduce(np.abs(state.x), axis=None, initial=0.0) <= DIVERGENCE_LIMIT
+        if not in_range:
+            no_step = ~(np.maximum.reduce(np.abs(gb), axis=1) < np.inf)
+            state.x[no_step] = state.momentum[no_step] = np.nan
         direction = state.momentum if momentum else gb
 
         if record:
@@ -267,9 +272,7 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
             if ref is not None:
                 cols["dist_to_ref"][rows, t] = [np.linalg.norm(row - ref) for row in x_t]
 
-        # one test of the whole stack, row by row only when it fails; a NaN or
-        # infinite coordinate fails the comparison too
-        if np.maximum.reduce(np.abs(state.x), axis=None, initial=0.0) <= DIVERGENCE_LIMIT:
+        if in_range:
             if accs is None:
                 continue
             done = [acc.observe(t, g[i], gb[i], x_t[i]) for i, acc in enumerate(accs)]
@@ -290,8 +293,6 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
         live_streams = [s for s, k in zip(live_streams, keep) if k]
         if accs is not None:
             accs = [a for a, k in zip(accs, keep) if k]
-        if not live.size:
-            break
     x_final[live] = state.x
 
     return [Trace(exit_reason=exit_reason[c], steps=int(steps[c]), config=config,

@@ -362,9 +362,11 @@ class _AdditiveNoiseObjective(Objective):
             noise = np.empty(shape)
             for r, gen in enumerate(gens):      # indexing beats iterating over noise's rows
                 gen.standard_normal(out=noise[r])
-        if not at_point:
+        if not at_point:        # G + (s * z) / sqrt(b), in place: addition commutes exactly
             noise *= self.noise_scale
-            return G + noise / math.sqrt(b)
+            noise /= math.sqrt(b)
+            noise += G
+            return noise
         if self.dim == 1:       # numpy sums a contiguous axis pairwise: keep those bits
             noise *= self.noise_scale
             return G + np.add.reduce(noise, axis=1) / b

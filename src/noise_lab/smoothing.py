@@ -38,12 +38,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-# bound at import: bench/tracer.py's wrapper of optimizers.nshb_step counts simulate's only
+from .config import DISTRIBUTIONS, SHARPNESS_METHODS
+# bound at import: bench/tracer.py's wrapper of optimizers.nshb_step sees none of these steps
 from .optimizers import OptimizerState, nshb_step
 from .problems import Objective, RngStream
-
-DISTRIBUTIONS = ("unit-sphere-uniform", "gaussian-scaled", "ball-uniform")
-SHARPNESS_METHODS = ("random-search", "sign-ascent")
 
 _EVAL_CHUNK = 200_000
 
@@ -338,6 +336,7 @@ def adaptive_sharpness(spec: Objective, w, sharp: SharpnessSpec, rng: RngStream)
     delta = _project_feasible(sharp.rho * c * gen.uniform(-0.5, 0.5, size=w.size),
                               sharp.rho, c, p)
     step = sharp.rho / 10.0
+    c_overflows = not np.isfinite(c * c).all()     # then scale by c twice, after the norm
     for _ in range(sharp.iters):
         g = spec.grad(w + delta)
         if not np.any(g):
@@ -349,6 +348,7 @@ def adaptive_sharpness(spec: Objective, w, sharp: SharpnessSpec, rng: RngStream)
         else:
             gn = _norm(c * g)
             if gn > 0:
-                delta = _project_feasible(delta + step * (c * c * g) / gn, sharp.rho, c, p)
+                ascent = step * (c * ((c * g) / gn)) if c_overflows else step * (c * c * g) / gn
+                delta = _project_feasible(delta + ascent, sharp.rho, c, p)
         best = float(np.maximum(best, spec.value_many(w + delta[None, :])[0] - base))
     return best

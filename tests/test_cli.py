@@ -1,6 +1,9 @@
 """CLI behavior: subcommands, exit codes, determinism, file formats."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -816,3 +819,63 @@ class TestDeterminism:
         assert names == sorted(p.name for p in out2.iterdir())
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_sign_ascent_with_a_scaling_whose_square_overflows(tmp_path):
+    """c * c overflows while c * g does not: the ascent step scales by c
+    after the norm, so the sharpness is rho * ||c * g||_2 = 1e200, not NaN."""
+    cfg = {"problem": {"kind": "constant-gradient", "dim": 2},
+           "sharpness": {"rho": 1, "p": 2, "c": [1e200, 1]}}
+    out = tmp_path / "out"
+    assert main(["sharpness", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    value = json.loads((out / "sharpness.json").read_text())["value"]
+    assert value == pytest.approx(1e200, rel=0.01)
+
+
+# every name `import noise_lab` bound before its exports loaded on first use
+PACKAGE_NAMES = [
+    "AnalyticCurveParams", "BatchStats", "BoundComponents", "BoundReport", "CheckResult",
+    "ConstantGradient", "DomainError", "FiniteSumLeastSquares", "GapReport", "KnownConstants",
+    "MeanUpdateReport", "NoiseReport", "NoiseSummary", "NoisyQuadratic", "Objective",
+    "OptimizerConfig", "OptimizerState", "RngStream", "SharpnessSpec", "SineBowl",
+    "SmoothedValue", "SmoothingSpec", "StopRule", "SweepRow", "SweepSummary", "TailStats",
+    "Trace", "TraceOptions", "TraceRecord", "VerifySettings", "adaptive_sharpness", "analysis",
+    "analytic_T", "analytic_critical_batch", "analytic_sfo", "convergence_bound_report",
+    "default_burn_in", "degree_of_smoothing", "draw_directions", "empirical_critical_batch",
+    "ensemble", "gd_vs_nshb_expectation", "gradient_noise_samples", "lhs_inner_product",
+    "make_objective", "map_shb_to_nshb", "mean_direction_norm",
+    "minibatch_deviation_sq_samples", "noise", "nshb_step", "optimizers", "problems",
+    "reporting", "run", "run_sweep", "run_verify_suite", "search_direction_noise", "sgd_step",
+    "shb_step", "simulate", "smoothed_value", "smoothing", "smoothing_gap_check",
+    "stationarity_check", "steps_to_epsilon", "sweep", "tail_stats", "thm_rhs",
+    "variance_upper_bound", "weighted_norm_identity", "xyz_from_setup",
+]
+
+IMPORT_CHECK = """
+import sys
+import noise_lab.cli as cli
+loaded = sorted(m for m in ("analysis", "noise", "smoothing") if "noise_lab." + m in sys.modules)
+assert not loaded, f"import noise_lab.cli loaded {loaded}"
+assert cli.analysis.run_verify_suite and cli.noise_mod.search_direction_noise
+assert cli.smoothing.adaptive_sharpness
+
+import noise_lab
+names = sys.argv[1:]
+assert all(getattr(noise_lab, name) is not None for name in names)
+assert sorted(noise_lab.__all__) == sorted(names), sorted(set(noise_lab.__all__) ^ set(names))
+star = {}
+exec("from noise_lab import *", star)
+assert all(name in star for name in names), [n for n in names if n not in star]
+assert star["run"] is sys.modules["noise_lab.optimizers"].run
+"""
+
+
+def test_the_cli_loads_only_what_its_subcommands_run():
+    """In a fresh interpreter, importing the CLI loads none of analysis, noise
+    and smoothing; they still resolve as cli attributes, and every name the
+    package exports resolves and is bound by a star import."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-c", IMPORT_CHECK, *PACKAGE_NAMES], env=env, check=True,
+                   timeout=60)

@@ -427,6 +427,14 @@ def test_a_non_finite_minibatch_gradient_ends_only_its_cell(config):
     assert "diverged" in reasons and "step-cap" in reasons
 
 
+def test_no_streams_take_no_steps(monkeypatch):
+    """A stack of no cells returns no traces at once, without stepping."""
+    spec, calls = NoisyQuadratic(dim=2, variance=1.0), []
+    monkeypatch.setattr(spec, "grad_many", lambda X: calls.append(len(X)) or X)
+    assert simulate(spec, CONFIGS[0], [], max_steps=100_000) == []
+    assert calls == []
+
+
 @pytest.mark.parametrize("kind", ["cumulative-grad-norm", "inner-product"])
 def test_each_cell_keeps_its_own_stop_accumulator(kind):
     spec = NoisyQuadratic(dim=2, variance=4.0)
