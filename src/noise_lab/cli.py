@@ -196,8 +196,7 @@ def _critical_report(spec, opt, stop, block, summary, seed) -> dict:
     }
 
     x_ref = block.get("reference_point")
-    if x_ref is None and spec.minimizer() is not None:
-        x_ref = spec.minimizer()
+    if x_ref is None and (x_ref := spec.minimizer()) is not None:
         notes.append("analytic reference point: objective minimizer")
     if x_ref is None:
         notes.append("analytic curve skipped: no reference point available")

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .optimizers import OptimizerConfig, Trace, TraceOptions, run
+from .optimizers import OptimizerConfig, Trace, TraceOptions, run, simulate
 from .problems import Objective, RngStream
 
 STOP_KINDS = ("cumulative-grad-norm", "inner-product")
@@ -122,21 +122,27 @@ class SweepSummary:
         return [s for s in self.per_batch if s.converged_fraction == 1.0]
 
 
+def _row(b: int, seed: int, trace: Trace) -> SweepRow:
+    return SweepRow(b=b, seed=seed, steps_T=trace.steps, sfo=trace.steps * b,
+                    exit_reason=trace.exit_reason)
+
+
 def steps_to_epsilon(spec: Objective, config: OptimizerConfig, stop: StopRule,
                      cap: int, rng: RngStream, x0=None, seed: int = 0) -> SweepRow:
-    """Run until the stop rule fires (exit converged, T = first firing step)
-    or the cap is reached (exit step-cap)."""
+    """One sweep cell run alone: until the stop rule fires (exit converged,
+    T = first firing step) or the cap is reached (exit step-cap). Each row
+    of run_sweep equals this cell on master.child(b, seed), bit for bit."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     trace = run(spec, config, x0=x0, stop=stop, max_steps=cap, rng=rng,
                 trace_options=TraceOptions(record=False))
-    return SweepRow(
-        b=config.batch_size,
-        seed=seed,
-        steps_T=trace.steps,
-        sfo=trace.steps * config.batch_size,
-        exit_reason=trace.exit_reason,
-    )
+    return _row(config.batch_size, seed, trace)
+
+
+def _whole(value, what: str) -> int:
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def run_sweep(spec: Objective, config_template: OptimizerConfig,
@@ -144,30 +150,37 @@ def run_sweep(spec: Objective, config_template: OptimizerConfig,
               x0=None, master_seed: int = 0) -> SweepSummary:
     """Per-(b, seed) step counts and SFO costs, aggregated per batch size.
 
-    `seeds` is a count (seed ids 0..seeds-1) or an explicit id list. The
-    cells run one after another in (b, seed) order, and each draws only
-    from RngStream(master_seed).child(b, seed), so a cell's row does not
-    depend on which other cells the sweep runs.
+    `seeds` is a count (seed ids 0..seeds-1) or a list of distinct ids. Each
+    batch size steps all its seeds as one `simulate` stack, and the rows
+    come in (b, seed) order. A cell draws only from
+    RngStream(master_seed).child(b, seed), and every operation of the stack
+    is row-wise, so a row equals steps_to_epsilon on that stream and does
+    not depend on which other cells the sweep runs.
     """
-    grid = [int(b) for b in batch_grid]
+    grid = [_whole(b, "batch size") for b in batch_grid]
     if not grid:
         raise ValueError("batch_grid must be non-empty")
     if any(b < 1 for b in grid):
         raise ValueError("batch sizes must be >= 1")
     if sorted(set(grid)) != grid:
         raise ValueError("batch_grid must be strictly ascending")
-    seed_ids = list(range(seeds)) if isinstance(seeds, int) else sorted(int(s) for s in seeds)
+    seed_ids = (list(range(seeds)) if isinstance(seeds, int)
+                else sorted(_whole(s, "seed id") for s in seeds))
     if not seed_ids:
         raise ValueError("need at least one seed")
+    repeated = [s for s, nxt in zip(seed_ids, seed_ids[1:]) if s == nxt]
+    if repeated:
+        raise ValueError(f"seed id {repeated[0]} is repeated")
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
 
-    master = RngStream(master_seed)
-    rows = [steps_to_epsilon(spec, replace(config_template, batch_size=b), stop, cap,
-                             master.child(b, s), x0=x0, seed=s)
-            for b in grid for s in seed_ids]
-
-    per_batch = []
+    master, rows, per_batch = RngStream(master_seed), [], []
     for b in grid:
-        batch_rows = [r for r in rows if r.b == b]
+        traces = simulate(spec, replace(config_template, batch_size=b),
+                          [master.child(b, s) for s in seed_ids], x0=x0, stop=stop,
+                          max_steps=cap, trace_options=TraceOptions(record=False))
+        batch_rows = [_row(b, s, trace) for s, trace in zip(seed_ids, traces)]
+        rows += batch_rows
         per_batch.append(BatchStats(
             b=b,
             mean_steps=float(np.mean([r.steps_T for r in batch_rows])),

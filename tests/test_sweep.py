@@ -1,10 +1,13 @@
 """Stop rules, batch sweeps, and the analytic step/SFO curves."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from noise_lab import sweep
 from noise_lab.optimizers import OptimizerConfig
-from noise_lab.problems import NoisyQuadratic, RngStream
+from noise_lab.problems import FiniteSumLeastSquares, NoisyQuadratic, RngStream, make_objective
 from noise_lab.sweep import (
     AnalyticCurveParams,
     BatchStats,
@@ -146,6 +149,93 @@ class TestRunSweep:
             run_sweep(spec, cfg, [8, 4], seeds=1, stop=StopRule(epsilon=0.5), cap=10)
         with pytest.raises(ValueError):
             run_sweep(spec, cfg, [4, 8, 8], seeds=1, stop=StopRule(epsilon=0.5), cap=10)
+
+    @pytest.mark.parametrize("grid, seeds, message", [
+        ([4], [0, 0], "seed id 0 is repeated"),
+        ([4.7, 5], 2, "batch size must be a whole number, got 4.7"),
+        ([4], [1.5], "seed id must be a whole number, got 1.5"),
+    ])
+    def test_ids_that_are_repeated_or_not_whole_are_rejected(self, monkeypatch, grid, seeds,
+                                                             message):
+        """They raise before any cell runs: a repeated id would count twice in its
+        batch size's means, and int() would truncate the others."""
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(sweep, "simulate", no_cell)
+        cfg = OptimizerConfig(algo="sgd", eta=0.1, batch_size=1)
+        with pytest.raises(ValueError, match=message):
+            run_sweep(NoisyQuadratic(dim=2, variance=1.0), cfg, grid, seeds=seeds,
+                      stop=StopRule(epsilon=0.5), cap=10)
+
+    def test_integral_floats_run_as_their_ints(self):
+        spec = NoisyQuadratic(dim=2, variance=1.0)
+        cfg = OptimizerConfig(algo="sgd", eta=0.1, batch_size=1)
+        stop, x0 = StopRule(epsilon=0.5), np.array([1.0, 1.0])
+        as_floats = run_sweep(spec, cfg, [2.0, 4.0], seeds=[3.0, 1.0], stop=stop, cap=200, x0=x0)
+        assert as_floats == run_sweep(spec, cfg, [2, 4], seeds=[1, 3], stop=stop, cap=200, x0=x0)
+
+
+_DATA = np.random.default_rng(0).standard_normal((12, 3))
+STACK_KINDS = {
+    "noisy-quadratic": make_objective("noisy-quadratic", 3, {"curvature": [1.0, 2.0, 0.5]},
+                                      variance=4.0),
+    "constant-gradient": make_objective("constant-gradient", 3, {"coefficient": [0.3, -0.2, 0.1]},
+                                        variance=4.0),
+    # b rows of the data per row of the stack, gathered from each row's own generator
+    "finite-sum": FiniteSumLeastSquares(_DATA, _DATA @ np.array([1.0, -1.0, 0.5]) + 0.3),
+    "sine-bowl": make_objective("nonconvex-sine-bowl", 3, variance=4.0),
+}
+STACK_ALGOS = {"sgd": OptimizerConfig(algo="sgd", eta=0.05),
+               "nshb": OptimizerConfig(algo="nshb", eta=0.05, beta=0.7),
+               "shb": OptimizerConfig(algo="shb", gamma=0.02, beta_bar=0.7)}
+
+
+def rows_equal_their_cells_alone(spec, cfg, grid, seeds, stop, cap, x0, master_seed):
+    summary = run_sweep(spec, cfg, grid, seeds=seeds, stop=stop, cap=cap, x0=x0,
+                        master_seed=master_seed)
+    for row in summary.rows:
+        alone = steps_to_epsilon(spec, replace(cfg, batch_size=row.b), stop, cap,
+                                 RngStream(master_seed).child(row.b, row.seed), x0=x0,
+                                 seed=row.seed)
+        assert row == alone
+    for stats in summary.per_batch:
+        rows = [r for r in summary.rows if r.b == stats.b]
+        assert stats.mean_steps == np.mean([r.steps_T for r in rows])
+        assert stats.mean_sfo == np.mean([r.sfo for r in rows])
+        assert stats.converged_fraction == np.mean([r.exit_reason == "converged" for r in rows])
+    return summary
+
+
+class TestStackedRows:
+    """run_sweep steps each batch size's seeds as one stack; every row must
+    equal its cell run alone by steps_to_epsilon on master.child(b, seed)."""
+
+    @pytest.mark.parametrize("stop_kind", ["cumulative-grad-norm", "inner-product"])
+    @pytest.mark.parametrize("algo", sorted(STACK_ALGOS))
+    @pytest.mark.parametrize("kind", sorted(STACK_KINDS))
+    def test_each_kind_algo_and_stop_kind(self, kind, algo, stop_kind):
+        spec = STACK_KINDS[kind]
+        ref = spec.minimizer() if spec.minimizer() is not None else np.zeros(3)
+        stop = StopRule(epsilon=0.6, kind=stop_kind, reference_point=ref)
+        rows_equal_their_cells_alone(spec, STACK_ALGOS[algo], [1, 4, 16], 4, stop, 150,
+                                     np.array([1.5, -1.0, 2.0]), master_seed=3)
+
+    def test_stacks_that_mix_converged_and_step_cap_rows(self):
+        spec = NoisyQuadratic(dim=2, variance=4.0)
+        summary = rows_equal_their_cells_alone(
+            spec, OptimizerConfig(algo="sgd", eta=0.1), [1, 4], 6, StopRule(epsilon=0.5), 60,
+            np.array([2.0, 1.0]), master_seed=5)
+        for b in (1, 4):
+            assert {r.exit_reason for r in summary.rows if r.b == b} == {"converged", "step-cap"}
+
+    def test_a_stack_whose_rows_diverge(self):
+        spec = NoisyQuadratic(dim=1, variance=1.0, curvature=1e300, x0=[1e10])
+        cfg = OptimizerConfig(algo="sgd", eta=1e-300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary = rows_equal_their_cells_alone(spec, cfg, [1, 2], 3, StopRule(epsilon=1.0),
+                                                   5, None, master_seed=1)
+        assert {r.exit_reason for r in summary.rows} == {"diverged"}
 
 
 class TestEmpiricalCriticalBatch:
