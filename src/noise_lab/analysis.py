@@ -242,11 +242,11 @@ def run_verify_suite(settings: Optional[VerifySettings] = None) -> list:
     """The default identity-and-bound battery. Diagnostics report the two
     momentum inequalities whose general validity the measurements decide.
     Asserted checks compare Monte-Carlo estimates with fixed tolerances, so
-    small budgets fail them on a correct program: with every budget at its
-    schema floor (variance_draws=1000, noise_steps=200, ensemble_seeds=30,
-    ensemble_steps=10, identity_triples=100, replicas=100), master seeds
-    0-99 failed minibatch-variance-scaling 38 times and
-    minibatch-second-moment-bound 19 times, and no other asserted check."""
+    small budgets fail them on a correct program. Under stream contract 3
+    master seeds 0-199 failed none at the default budgets; at every schema
+    floor (variance_draws=1000, noise_steps=200, ensemble_seeds=30,
+    ensemble_steps=10, identity_triples=100, replicas=100), seeds 0-99
+    failed only minibatch-variance-scaling (38 times) and minibatch-second-moment-bound (26)."""
     s = settings or VerifySettings()
     rng = RngStream(s.master_seed)
     results = []

@@ -10,12 +10,12 @@ shb(gamma, beta_bar) traces the same iterates as nshb(eta, beta) under
 eta = gamma / (1 - beta_bar), beta = beta_bar, because m_t = d_t / (1 - beta).
 
 One engine, `simulate`, advances R independent cells in lockstep on
-(R, dim) arrays; `run` is its one-cell case. Each cell draws its minibatch
-once per step, around the exact gradient the step already holds, from the
-generator its own RngStream gives for the step index, so two algorithms
-driven by the same RngStream see identical noise and cross-algorithm
-comparisons are exact rather than statistical, and a cell's iterates do
-not depend on which other cells share its stack.
+(R, dim) arrays; `run` is its one-cell case. Each cell draws one minibatch
+a step, around the exact gradient the step holds, from the one generator
+its RngStream gives, and every algorithm draws alike, so algorithms driven
+by the same RngStream see identical noise: cross-algorithm comparisons are
+exact rather than statistical, and a cell's iterates do not depend on
+which other cells share its stack.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import Objective, RngStream
+from .problems import CellDraws, Objective, RngStream
 from .reporting import json_number, json_numbers
 
 ALGOS = ("sgd", "nshb", "shb")
@@ -206,12 +206,12 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
     """Advance one cell per stream in lockstep on (R, dim) arrays, all from
     x0; returns one Trace per stream, in order.
 
-    Each cell runs as if alone: its step-t minibatch comes from
-    streams[r].generator(t), the update cores above step the stacked
-    state, and a cell leaves the stack once it diverges or its own
-    accumulator from stop.start() fires. observe(t, grad, minibatch_grad,
-    x) sees one cell's vectors and returns True to end it (see
-    sweep.StopRule)."""
+    Each cell runs as if alone: every step draws from the one generator
+    streams[r].generator() built before its first step, the update cores
+    above step the stacked state, and a cell leaves the stack once it
+    diverges or its own accumulator from stop.start() fires.
+    observe(t, grad, minibatch_grad, x) sees one cell's vectors and returns
+    True to end it (see sweep.StopRule)."""
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     opts = trace_options or TraceOptions()
@@ -240,7 +240,7 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
     b, grad_many, draw = config.batch_size, spec.grad_many, spec.minibatch_grad_ensemble
     record, record_x, record_f = opts.record, opts.record_x, opts.record_f
     live = np.arange(cells)               # cell id of each row of the stacked state
-    live_streams = list(streams)
+    draws = CellDraws([s.generator() for s in streams])
     steps = np.full(cells, max_steps)
     exit_reason = np.full(cells, "step-cap", dtype=object)
     x_final = np.empty((cells, spec.dim))
@@ -249,7 +249,7 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
             break
         x_t = state.x
         g = grad_many(x_t)
-        gb = draw(x_t, b, [s.generator(t) for s in live_streams], g)
+        gb = draw(x_t, b, draws, g)
         update(state, gb, *update_args)
         # one test of the whole stack, row by row only when it fails; a NaN or infinite
         # coordinate fails it too, as does a row whose minibatch gradient is not finite:
@@ -290,7 +290,7 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
         x_final[live[done]] = state.x[done]
         keep = ~done
         live, state.x, state.momentum = live[keep], state.x[keep], state.momentum[keep]
-        live_streams = [s for s, k in zip(live_streams, keep) if k]
+        draws.keep(keep)
         if accs is not None:
             accs = [a for a, k in zip(accs, keep) if k]
     x_final[live] = state.x
@@ -306,8 +306,8 @@ def run(spec: Objective, config: OptimizerConfig, x0=None, stop=None, max_steps:
     oracle until the stop rule fires, the step cap is reached, or the
     iterate diverges: the one-cell case of `simulate`.
 
-    The minibatch at step t comes from rng.generator(t), so runs sharing an
-    RngStream share noise draw-for-draw.
+    Every minibatch comes from one generator, rng.generator(), step after
+    step, so runs sharing an RngStream share noise draw-for-draw.
     """
     return simulate(spec, config, [rng], x0=x0, stop=stop, max_steps=max_steps,
                     trace_options=trace_options)[0]

@@ -25,10 +25,10 @@ Additive noise is isotropic Gaussian with per-coordinate variance
 C^2 / dim, so the total deviation second moment is exactly C^2 and the
 1/b minibatch scaling is an equality rather than a bound.
 
-All randomness flows through caller-supplied RngStream values, and a
-step's draw through the generators its caller takes from them with
-RngStream.generator(t), given with the rows' exact gradients; the
-objectives themselves are immutable and safe to share across runs.
+All randomness flows through caller-supplied RngStream values: a stepped
+cell takes every draw from one generator of its stream, through its stack's
+CellDraws and around the rows' exact gradients. The objectives themselves
+are immutable and safe to share across runs.
 """
 
 from __future__ import annotations
@@ -37,23 +37,18 @@ import functools
 import math
 import operator
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-KINDS = (
-    "noisy-quadratic",
-    "constant-gradient",
-    "finite-sum-least-squares",
-    "nonconvex-sine-bowl",
-)
-
 # most scalars one block of Monte-Carlo draws holds: 1 MB of float64, the
 # explicit draws of one b = 4096 minibatch mean at dim 16 held twice
 _CHUNK_SCALARS = 1 << 17
-# stream contract written into every report: 2 draws an additive step's mean directly
-RNG_CONTRACT = 2
+# most steps of normals one refill of a CellDraws tape draws per row
+_TAPE_STEPS = 64
+# stream contract in every report: 3 draws all of a cell's steps from one generator
+RNG_CONTRACT = 3
 
 
 def _label_to_int(label) -> int:
@@ -65,99 +60,6 @@ def _label_to_int(label) -> int:
     return value
 
 
-def _word_count(n) -> int:
-    """uint32 words numpy's SeedSequence makes of a non-negative int (0 is one)."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"seeds and rng path labels must be non-negative, got {n}")
-    return max(1, -(-n.bit_length() // 32))
-
-
-# numpy's SeedSequence (numpy/random/bit_generator.pyx), replayed bit for bit
-# under numpy's stream-compatibility promise for a block of step labels at once:
-# the hash and mix steps take uint64 arrays of 32-bit values, so the PCG64
-# seed words of many children of one pool come out of one vectorised pass.
-_MASK32, _HASH_INIT, _MULT_A, _MULT_B = 0xFFFFFFFF, 0x43B0D7E5, 0x931E8875, 0x58F38DED
-_BLOCK = 128        # step labels whose seed words one pass fills
-
-
-def _hash_constants(hc: int, mult: int, n: int) -> np.ndarray:
-    """hc and the hash constants that follow it, n in all."""
-    return np.array([hc * pow(mult, k, 1 << 32) & _MASK32 for k in range(n)], dtype=np.uint64)
-
-
-_GENERATE_HASHES = _hash_constants(0x8B51F9DD, _MULT_B, 8)
-
-
-def _hashmix(value, hc, mult=_MULT_A) -> tuple:
-    hc_next = hc * mult & _MASK32
-    value = (value ^ hc) * hc_next & _MASK32
-    return value ^ value >> 16, hc_next
-
-
-def _mix(x, y):
-    r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-    return r ^ r >> 16
-
-
-def _seed_state(pool) -> np.ndarray:
-    """SeedSequence.generate_state(4, np.uint64) of pools on the last axis."""
-    words, _ = _hashmix(np.concatenate([pool, pool], axis=-1), _GENERATE_HASHES, _MULT_B)
-    return words.astype("<u4").view("<u8").astype(np.uint64)
-
-
-@functools.cache
-def _seed_words_type() -> type:
-    """An ISeedSequence that hands PCG64 the seed words SeedSequence would;
-    built on first use, so importing this module leaves numpy.random unloaded."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or dtype != np.uint64:
-                raise ValueError("only PCG64's four uint64 seed words are replayed")
-            return self.state
-
-    return SeedWords
-
-
-class _StepSeeds:
-    """Seed words of a stream's step substreams stream.child(t), t < 2^32:
-    labels t ... t+_BLOCK-1 are filled in one pass and kept until a label
-    outside them is asked for."""
-
-    def __init__(self, master_seed, path):
-        self.master_seed, self.path = master_seed, path
-        self.window = (0, np.empty((0, 4), dtype=np.uint64))
-
-    @functools.cached_property
-    def mixer(self) -> tuple:
-        """The stream's pool, and the hash constants with which numpy mixes
-        one more spawn-key word into each of its four words. numpy pads the
-        seed to four words when a spawn key is present (and hashes a 0 for a
-        missing word when not), and mixing W >= 4 entropy words takes 4 W
-        hashmix calls: 4 + 12 for the first four words, 4 for each other."""
-        from numpy.random import SeedSequence
-
-        pool = SeedSequence(self.master_seed, spawn_key=self.path).pool.astype(np.uint64)
-        calls = 4 * (max(_word_count(self.master_seed), 4) + sum(map(_word_count, self.path)))
-        return pool, _hash_constants(_HASH_INIT * pow(_MULT_A, calls, 1 << 32), _MULT_A, 4)
-
-    def state(self, label: int) -> np.ndarray:
-        """child(label)'s seed words."""
-        start, block = self.window    # read once: a race costs a refill, never a wrong row
-        if not 0 <= label - start < len(block):
-            pool, hashes = self.mixer
-            labels = np.arange(label, min(label + _BLOCK, _MASK32 + 1), dtype=np.uint64)
-            h, _ = _hashmix(labels[:, None], hashes)       # one column per pool word
-            start, block = label, _seed_state(_mix(pool, h))
-            self.window = (start, block)
-        return block[label - start]
-
-
 @dataclass(frozen=True)
 class RngStream:
     """Deterministic, splittable source of randomness.
@@ -167,35 +69,59 @@ class RngStream:
     independent. `generator()` always restarts from the stream's origin,
     so a stream value denotes a reproducible sequence, not a cursor. Its
     bits are those of np.random.default_rng(np.random.SeedSequence(
-    master_seed, spawn_key=path)); generator(t), the generator of the step
-    substream child(t), replays that seeding from blocks the stream fills.
+    master_seed, spawn_key=path)).
     """
 
     master_seed: int
     path: tuple[int, ...] = ()
-    # the memo of this stream's step seed words, made by the first generator(t)
-    # (threads racing here make two, and either gives the right words)
-    _child_seeds: Optional[_StepSeeds] = field(default=None, init=False, compare=False,
-                                               repr=False)
 
     def __post_init__(self):
-        _word_count(self.master_seed)       # a negative seed fails here
+        if operator.index(self.master_seed) < 0:
+            raise ValueError(f"seeds must be non-negative, got {self.master_seed}")
         object.__setattr__(self, "path", tuple(map(_label_to_int, self.path)))
 
     def child(self, *labels) -> "RngStream":
         """Derive an independent substream; labels are ints or strings."""
         return RngStream(self.master_seed, self.path + labels)
 
-    def generator(self, t: Optional[int] = None) -> np.random.Generator:
-        """This stream's generator, or with a step index t that of child(t)."""
-        if t is not None and 0 <= t <= _MASK32:
-            if self._child_seeds is None:
-                object.__setattr__(self, "_child_seeds", _StepSeeds(self.master_seed, self.path))
-            seq = _seed_words_type()(self._child_seeds.state(t))
-        else:
-            path = self.path if t is None else self.path + (_label_to_int(t),)
-            seq = np.random.SeedSequence(self.master_seed, spawn_key=path)
-        return np.random.Generator(np.random.PCG64(seq))
+    def generator(self) -> np.random.Generator:
+        """A new generator at the start of this stream's sequence."""
+        return np.random.default_rng(np.random.SeedSequence(self.master_seed, spawn_key=self.path))
+
+
+class CellDraws:
+    """The draws of a stack of cells, row r from its own generator gens[r].
+
+    Its standard normals are read from a tape of each row's next K steps:
+    K <= _TAPE_STEPS, and at most _CHUNK_SCALARS scalars in all (no tape
+    when one step holds more). numpy fills standard_normal((K, dim)) as K
+    calls of standard_normal(dim), so no K changes a bit. The finite sum
+    draws its indices from gens directly: `integers` buffers 32-bit halves
+    within one call, so a tape would tie its bits to K.
+    """
+
+    def __init__(self, gens: Sequence[np.random.Generator]):
+        self.gens = list(gens)
+        self._tape, self._next = np.empty((len(self.gens), 0, 0)), 0
+
+    def standard_normal(self, shape: tuple) -> np.ndarray:
+        """The next standard normals of shape (rows, dim), row r from gens[r]."""
+        if self._next == self._tape.shape[1]:
+            rows, dim = shape
+            k = min(_TAPE_STEPS, _CHUNK_SCALARS // max(1, rows * dim))
+            block = np.empty((rows, max(k, 1), dim))
+            for gen, row in zip(self.gens, block):
+                gen.standard_normal(out=row)
+            if k == 0:
+                return block[:, 0]
+            self._tape, self._next = block, 0
+        self._next += 1
+        return self._tape[:, self._next - 1]
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the rows where the boolean mask `rows` is set."""
+        self.gens = [gen for gen, k in zip(self.gens, rows) if k]
+        self._tape = self._tape[rows]
 
 
 @dataclass(frozen=True)
@@ -269,22 +195,22 @@ class Objective:
         return self._draw_blocks(np.broadcast_to(x, (m, self.dim)), b, rng.generator(),
                                  np.broadcast_to(self.grad(x), (m, self.dim)), at_point=True)
 
-    def minibatch_grad_ensemble(self, X: np.ndarray, b: int, gens,
+    def minibatch_grad_ensemble(self, X: np.ndarray, b: int, draws,
                                 G: Optional[np.ndarray] = None) -> np.ndarray:
         """One minibatch gradient per row of X (independent draws), (m, dim),
-        given one np.random.Generator for all rows or a sequence of one per
-        row, and G, the rows' exact gradients (when None, a kind whose draw
-        reads them computes them). Row r has the law of
-        minibatch_grad_means(X[r], b, 1, ...); the additive kinds draw its mean
-        directly as dim normals, so their bits agree with it only at b = 1."""
+        given one np.random.Generator for all rows or the CellDraws of a
+        stack, one generator per row, and G, the rows' exact gradients (when
+        None, a kind whose draw reads them computes them). Row r has the law
+        of minibatch_grad_means(X[r], b, 1, ...); the additive kinds draw its
+        mean directly as dim normals, so their bits agree with it only at b = 1."""
         X = np.asarray(X, dtype=float)
-        if isinstance(gens, np.random.Generator):
-            return self._draw_blocks(X, b, gens, G)
-        if len(gens) != X.shape[0]:
-            raise ValueError(f"got {len(gens)} generators for {X.shape[0]} rows")
+        if isinstance(draws, np.random.Generator):
+            return self._draw_blocks(X, b, draws, G)
+        if len(draws.gens) != X.shape[0]:
+            raise ValueError(f"got {len(draws.gens)} generators for {X.shape[0]} rows")
         if b < 1:
             raise ValueError(f"batch size must be >= 1, got {b}")
-        return self._minibatch_block(X, b, gens, G, False)
+        return self._minibatch_block(X, b, draws, G, False)
 
     def _draw_blocks(self, X, b, gen, G, at_point=False) -> np.ndarray:
         """Minibatch gradients at the rows of X from one generator, drawn a
@@ -305,11 +231,11 @@ class Objective:
     def _row_scalars(self, b, at_point) -> int:     # what one row of a block holds
         return b * self.dim
 
-    def _minibatch_block(self, X, b, gens, G, at_point) -> np.ndarray:
+    def _minibatch_block(self, X, b, draws, G, at_point) -> np.ndarray:
         """One minibatch gradient per row of X, whose exact gradients are the
-        rows of G (None: a kind whose draw reads them computes them): gens is
-        one generator for all rows in order or a sequence of one per row;
-        at_point says every row is the same point, as in
+        rows of G (None: a kind whose draw reads them computes them): draws is
+        one generator for all rows in order or a stack's CellDraws; at_point
+        (one generator only) says every row is the same point, as in
         minibatch_grad_means."""
         raise NotImplementedError
 
@@ -347,26 +273,18 @@ class _AdditiveNoiseObjective(Objective):
         # transposed for the sum
         return (2 if self.dim > 1 else 1) * b * self.dim if at_point else self.dim
 
-    def _minibatch_block(self, X, b, gens, G, at_point):
+    def _minibatch_block(self, X, b, draws, G, at_point):
         # means at a point average b real draws; a step draws the mean of b iid
         # N(0, s^2) as one N(0, s^2 / b), exact in law and the same bits at b = 1
         G = self.grad_many(X) if G is None else G
         if self.variance == 0.0:
             return G.copy()
-        shape = (X.shape[0], b, self.dim) if at_point else X.shape
-        if isinstance(gens, np.random.Generator):
-            noise = gens.standard_normal(shape)
-        elif len(gens) == 1:                    # a one-row stack, as a run steps
-            noise = gens[0].standard_normal(shape)
-        else:
-            noise = np.empty(shape)
-            for r, gen in enumerate(gens):      # indexing beats iterating over noise's rows
-                gen.standard_normal(out=noise[r])
-        if not at_point:        # G + (s * z) / sqrt(b), in place: addition commutes exactly
-            noise *= self.noise_scale
+        if not at_point:        # G + (s * z) / sqrt(b): addition commutes exactly
+            noise = draws.standard_normal(X.shape) * self.noise_scale
             noise /= math.sqrt(b)
             noise += G
             return noise
+        noise = draws.standard_normal((X.shape[0], b, self.dim))
         if self.dim == 1:       # numpy sums a contiguous axis pairwise: keep those bits
             noise *= self.noise_scale
             return G + np.add.reduce(noise, axis=1) / b
@@ -512,13 +430,13 @@ class FiniteSumLeastSquares(Objective):
         spectral = float(np.linalg.norm(gram, 2))
         return spectral * radius * math.sqrt(self.dim) + float(np.linalg.norm(bias))
 
-    def _minibatch_block(self, X, b, gens, G, at_point):
-        # minibatch_grad_means and per-row generators gather per-sample gradients;
+    def _minibatch_block(self, X, b, draws, G, at_point):
+        # minibatch_grad_means and a stack's rows gather per-sample gradients;
         # one generator for many points takes the einsum form, whose bits differ
-        if not isinstance(gens, np.random.Generator):
+        if not isinstance(draws, np.random.Generator):
             return np.concatenate([self.per_sample_grads(x)[gen.integers(0, self.n, size=(1, b))]
-                                   .mean(axis=1) for x, gen in zip(X, gens)])
-        idx = gens.integers(0, self.n, size=(X.shape[0], b))
+                                   .mean(axis=1) for x, gen in zip(X, draws.gens)])
+        idx = draws.integers(0, self.n, size=(X.shape[0], b))
         if at_point:
             return self.per_sample_grads(X[0])[idx].mean(axis=1)
         rows = self.data[idx]                                   # (m, b, dim)
@@ -562,6 +480,16 @@ class SineBowl(_AdditiveNoiseObjective):
         return float(math.sqrt(self.dim) * (radius + self.amplitude * self.frequency))
 
 
+# each kind's class and the params keys it takes
+_KINDS = {
+    "noisy-quadratic": (NoisyQuadratic, {"curvature"}),
+    "constant-gradient": (ConstantGradient, {"coefficient"}),
+    "finite-sum-least-squares": (FiniteSumLeastSquares, {"data", "targets"}),
+    "nonconvex-sine-bowl": (SineBowl, {"amplitude", "frequency"}),
+}
+KINDS = tuple(_KINDS)
+
+
 def make_objective(kind: str, dim: Optional[int] = None, params: Optional[dict] = None,
                    variance: float = 0.0) -> Objective:
     """Build an objective from the JSON-config vocabulary.
@@ -573,15 +501,9 @@ def make_objective(kind: str, dim: Optional[int] = None, params: Optional[dict] 
     """
     params = dict(params or {})
     x0 = params.pop("x0", None)
-    known = {
-        "noisy-quadratic": (NoisyQuadratic, {"curvature"}),
-        "constant-gradient": (ConstantGradient, {"coefficient"}),
-        "finite-sum-least-squares": (FiniteSumLeastSquares, {"data", "targets"}),
-        "nonconvex-sine-bowl": (SineBowl, {"amplitude", "frequency"}),
-    }
-    if kind not in known:
+    if kind not in _KINDS:
         raise ValueError(f"unknown objective kind {kind!r}; expected one of {KINDS}")
-    cls, names = known[kind]
+    cls, names = _KINDS[kind]
     extra = set(params) - names
     if extra:
         raise ValueError(f"unknown params for kind {kind!r}: {sorted(extra)}")

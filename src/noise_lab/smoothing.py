@@ -249,9 +249,9 @@ def gd_vs_nshb_expectation(spec: Objective, x_start, eta: float, beta: float,
                            *, rng: RngStream, batch_size: int = 1) -> MeanUpdateReport:
     """Estimate E[x_{t+1}] - (x_t - eta * grad f(x_t)) after burn_in steps.
 
-    Replicas advance in lockstep with independent noise histories, so
-    their mean estimates the unconditional expectation of the momentum
-    direction; each replica contributes
+    Replicas advance in lockstep with independent noise histories, all drawn
+    from one generator of rng, so their mean estimates the unconditional
+    expectation of the momentum direction; each replica contributes
     delta_r = x_{t+1} - (x_t - eta grad f(x_t)) = -eta * omega_t. With a
     burned-in buffer E[omega_t] vanishes geometrically and the mean lands
     within Monte-Carlo error of zero; with no burn-in the zero-initialised
@@ -264,16 +264,14 @@ def gd_vs_nshb_expectation(spec: Objective, x_start, eta: float, beta: float,
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     x_start = np.asarray(x_start, dtype=float)
 
-    state = OptimizerState.initial(np.tile(x_start, (replicas, 1)))
+    state, gen = OptimizerState.initial(np.tile(x_start, (replicas, 1))), rng.generator()
     for t in range(burn_in):
-        nshb_step(state, spec.minibatch_grad_ensemble(state.x, batch_size, rng.generator(t)),
-                  eta, beta)
+        nshb_step(state, spec.minibatch_grad_ensemble(state.x, batch_size, gen), eta, beta)
         if not np.all(np.isfinite(state.x)):
             raise FloatingPointError(f"replica ensemble diverged at burn-in step {t}")
 
     grads = spec.grad_many(state.x)
-    nshb_step(state, spec.minibatch_grad_ensemble(state.x, batch_size, rng.generator(burn_in),
-                                                  grads), eta, beta)
+    nshb_step(state, spec.minibatch_grad_ensemble(state.x, batch_size, gen, grads), eta, beta)
     deltas = -eta * (state.momentum - grads)   # x_{t+1} - (x_t - eta grad f(x_t)) per replica
     mean = deltas.mean(axis=0)
     var = deltas.var(axis=0, ddof=1)

@@ -150,12 +150,12 @@ def run_sweep(spec: Objective, config_template: OptimizerConfig,
               x0=None, master_seed: int = 0) -> SweepSummary:
     """Per-(b, seed) step counts and SFO costs, aggregated per batch size.
 
-    `seeds` is a count (seed ids 0..seeds-1) or a list of distinct ids. Each
-    batch size steps all its seeds as one `simulate` stack, and the rows
-    come in (b, seed) order. A cell draws only from
-    RngStream(master_seed).child(b, seed), and every operation of the stack
-    is row-wise, so a row equals steps_to_epsilon on that stream and does
-    not depend on which other cells the sweep runs.
+    `seeds` is a count, any whole-number scalar (seed ids 0..seeds-1), or
+    a list of distinct ids. Each batch size steps all its seeds as one
+    `simulate` stack, and the rows come in (b, seed) order. A cell draws
+    only from RngStream(master_seed).child(b, seed), and every operation of
+    the stack is row-wise, so a row equals steps_to_epsilon on that stream
+    and does not depend on which other cells the sweep runs.
     """
     grid = [_whole(b, "batch size") for b in batch_grid]
     if not grid:
@@ -164,7 +164,7 @@ def run_sweep(spec: Objective, config_template: OptimizerConfig,
         raise ValueError("batch sizes must be >= 1")
     if sorted(set(grid)) != grid:
         raise ValueError("batch_grid must be strictly ascending")
-    seed_ids = (list(range(seeds)) if isinstance(seeds, int)
+    seed_ids = (list(range(_whole(seeds, "seed count"))) if np.ndim(seeds) == 0
                 else sorted(_whole(s, "seed id") for s in seeds))
     if not seed_ids:
         raise ValueError("need at least one seed")

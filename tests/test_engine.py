@@ -13,8 +13,8 @@ from noise_lab import problems
 from noise_lab.noise import minibatch_deviation_sq_samples
 from noise_lab.optimizers import (DIVERGENCE_LIMIT, OptimizerConfig, OptimizerState,
                                   TraceOptions, nshb_step, run, sgd_step, shb_step, simulate)
-from noise_lab.problems import (ConstantGradient, FiniteSumLeastSquares, NoisyQuadratic,
-                                RngStream, SineBowl)
+from noise_lab.problems import (CellDraws, ConstantGradient, FiniteSumLeastSquares,
+                                NoisyQuadratic, RngStream, SineBowl)
 from noise_lab.sweep import StopRule
 
 COLUMNS = ("f_value", "grad", "search_direction", "minibatch_grad", "x_snapshot",
@@ -38,11 +38,18 @@ CONFIGS = [
 ]
 
 
-def step_draw(spec, x, b, stream):
-    """A step's minibatch gradient at x written out under stream contract 2:
-    the additive kinds draw the mean of b deviations as dim normals scaled by
-    noise_scale / sqrt(b); finite-sum averages b per-sample gradients."""
-    gen = stream.generator()
+def cell_generator(stream):
+    """A cell's one generator under stream contract 3, built here from
+    numpy's own SeedSequence of the stream's path."""
+    seq = np.random.SeedSequence(stream.master_seed, spawn_key=stream.path)
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def step_draw(spec, x, b, gen):
+    """A step's minibatch gradient at x written out under stream contract 3,
+    from the next draws of the cell's generator: the additive kinds draw the
+    mean of b deviations as dim normals scaled by noise_scale / sqrt(b);
+    finite-sum averages the per-sample gradients at b drawn indices."""
     if isinstance(spec, FiniteSumLeastSquares):
         return spec.per_sample_grads(x)[gen.integers(0, spec.n, size=(1, b))].mean(axis=1)[0]
     if spec.variance == 0.0:
@@ -50,14 +57,21 @@ def step_draw(spec, x, b, stream):
     return spec.grad(x) + gen.standard_normal(spec.dim) * spec.noise_scale / np.sqrt(b)
 
 
-def v1_draw(spec, x, b, stream):
-    """A step's minibatch under stream contract 1: the mean of b explicit draws."""
-    return spec.minibatch_grad_means(x, b, 1, stream)[0]
+def v1_draw(spec, x, b, gen):
+    """A step's minibatch as stream contract 1 took it, the mean of b explicit
+    draws, here from the next draws of the cell's generator."""
+    if isinstance(spec, FiniteSumLeastSquares):
+        return spec.per_sample_grads(x)[gen.integers(0, spec.n, size=b)].mean(axis=0)
+    if spec.variance == 0.0:
+        return spec.grad(x)
+    return spec.grad(x) + (gen.standard_normal((b, spec.dim)) * spec.noise_scale).mean(axis=0)
 
 
 def reference_run(spec, config, x0, max_steps, rng, stop=None, draw=step_draw):
-    """The one-cell step loop written out: exact gradient, one minibatch from
-    rng.child(t), one update, divergence check, then the stop rule."""
+    """The one-cell step loop written out: one generator for the cell, then
+    per step the exact gradient, one minibatch from that generator, one
+    update, divergence check, then the stop rule."""
+    gen = cell_generator(rng)
     state = OptimizerState.initial(x0)
     acc = stop.start() if stop is not None else None
     xs, grads, mbs, dirs, fs = [], [], [], [], []
@@ -65,7 +79,7 @@ def reference_run(spec, config, x0, max_steps, rng, stop=None, draw=step_draw):
     for t in range(max_steps):
         x_t = state.x
         g = spec.grad(x_t)
-        gb = draw(spec, x_t, config.batch_size, rng.child(t))
+        gb = draw(spec, x_t, config.batch_size, gen)
         if config.algo == "sgd":
             sgd_step(state, gb, config.eta)
             d = gb
@@ -134,18 +148,19 @@ class TestParity:
             assert np.array_equal(g, spec.grad(x))
 
     def test_per_row_streams_equal_minibatch_grad(self, spec, config, monkeypatch):
-        """Each row drawn from its stream's generator is that stream's
-        written-out step draw at any block size; that is the draw of
+        """The first step of a stack, each row from its stream's generator, is
+        that stream's written-out first step draw, with a tape of 64 steps or
+        (blocks of 8 dim scalars) none; that is the draw of
         minibatch_grad_means at b = 1, and for finite-sum at any b."""
         X = np.random.default_rng(5).standard_normal((9, spec.dim))
         streams = [RngStream(12, (r, 3)) for r in range(len(X))]
         for chunk_scalars in (problems._CHUNK_SCALARS, 2 * 4 * spec.dim):
             monkeypatch.setattr(problems, "_CHUNK_SCALARS", chunk_scalars)
             for b in (1, 4, 33):
-                G = spec.minibatch_grad_ensemble(X, b, [s.generator() for s in streams],
-                                                 spec.grad_many(X))
+                draws = CellDraws([s.generator() for s in streams])
+                G = spec.minibatch_grad_ensemble(X, b, draws, spec.grad_many(X))
                 for x, s, g in zip(X, streams, G):
-                    assert np.array_equal(g, step_draw(spec, x, b, s))
+                    assert np.array_equal(g, step_draw(spec, x, b, cell_generator(s)))
                     if b == 1 or isinstance(spec, FiniteSumLeastSquares):
                         assert np.array_equal(g, spec.minibatch_grad_means(x, b, 1, s)[0])
 
@@ -154,8 +169,9 @@ class TestParity:
                          ids=lambda c: c.algo)
 @pytest.mark.parametrize("spec", objectives(), ids=lambda s: s.kind)
 def test_b1_runs_equal_the_v1_step_loop(spec, config):
-    """At b = 1 the directly drawn mean is the one draw stream contract 1
-    averaged, so every b = 1 run keeps its contract-1 bits."""
+    """At b = 1 the directly drawn mean is the one draw that averaging b
+    explicit draws takes, so a b = 1 run equals the step loop of contract 1's
+    explicit means, drawn from the cell's one generator."""
     x0 = spec.default_start() * 0.5
     trace = run(spec, config, x0=x0, max_steps=60, rng=RngStream(4))
     ref = reference_run(spec, config, x0, 60, RngStream(4), draw=v1_draw)
@@ -232,7 +248,8 @@ DRAW_IDS = [s.kind for s in objectives()] + ["noiseless-quadratic", "quadratic-d
 class TestDrawBlocks:
     """Each public draw entry gives the bits of one unblocked draw, whatever
     number of rows a block holds (10 rows: blocks of 3 leave a remainder);
-    a step's draw takes a generator, or one per row, and the rows' gradients."""
+    a step's draw takes a generator, or a stack's CellDraws, and the rows'
+    gradients."""
 
     @pytest.fixture
     def blocks(self, spec, b, rows, monkeypatch):
@@ -278,9 +295,10 @@ class TestDrawBlocks:
         calls = blocks(False)
         X = self.points(spec)
         streams = [RngStream(5, (b, r)) for r in range(len(X))]
-        got = spec.minibatch_grad_ensemble(X, b, [s.generator() for s in streams],
+        got = spec.minibatch_grad_ensemble(X, b, CellDraws([s.generator() for s in streams]),
                                            spec.grad_many(X))
-        assert np.array_equal(got, [step_draw(spec, x, b, s) for x, s in zip(X, streams)])
+        assert np.array_equal(got, [step_draw(spec, x, b, cell_generator(s))
+                                    for x, s in zip(X, streams)])
         assert len(calls) == 1
 
     def test_ensemble_without_gradients(self, spec, b, rows, blocks):
@@ -289,7 +307,8 @@ class TestDrawBlocks:
         blocks(False)
         X = self.points(spec)
         for gens in (RngStream(4, (b,)).generator,
-                     lambda: [RngStream(5, (b, r)).generator() for r in range(len(X))]):
+                     lambda: CellDraws([RngStream(5, (b, r)).generator()
+                                        for r in range(len(X))])):
             assert np.array_equal(spec.minibatch_grad_ensemble(X, b, gens()),
                                   spec.minibatch_grad_ensemble(X, b, gens(), spec.grad_many(X)))
 
@@ -299,7 +318,7 @@ LAW_Z = 4.5     # per statistic, two-sided; 30 statistics make a check
 
 
 def deviation_law_holds(spec, x, n, rng, batches=LAW_BATCHES, z=LAW_Z) -> bool:
-    """Draw n step minibatches (one step generator per row, as a stack steps) and n
+    """Draw n step minibatches (one cell generator per row, as a stack steps) and n
     minibatch_grad_means at x for each b; both sets of deviations from
     grad f(x) must have every coordinate's mean within z standard errors of
     0 and a mean squared norm within z standard errors of C^2 / b. The
@@ -308,9 +327,8 @@ def deviation_law_holds(spec, x, n, rng, batches=LAW_BATCHES, z=LAW_Z) -> bool:
     g, c2 = spec.grad(x), spec.variance
     for b in batches:
         step = rng.child("step", b)
-        paths = (spec.minibatch_grad_ensemble(np.tile(x, (n, 1)), b,
-                                              [step.generator(i) for i in range(n)],
-                                              np.tile(g, (n, 1))),
+        cells = CellDraws([step.child(i).generator() for i in range(n)])
+        paths = (spec.minibatch_grad_ensemble(np.tile(x, (n, 1)), b, cells, np.tile(g, (n, 1))),
                  spec.minibatch_grad_means(x, b, n, rng.child("means", b)))
         for draws in paths:
             d = draws - g
@@ -336,10 +354,10 @@ def test_deviation_law_catches_a_planted_step_sampler(monkeypatch, scale):
     spec = NoisyQuadratic(dim=4, variance=3.0)
     draw = spec._minibatch_block
 
-    def planted(X, b, gens, G, at_point):
+    def planted(X, b, draws, G, at_point):
         if at_point:
-            return draw(X, b, gens, G, at_point)
-        z = np.stack([gen.standard_normal(spec.dim) for gen in gens])
+            return draw(X, b, draws, G, at_point)
+        z = np.stack([gen.standard_normal(spec.dim) for gen in draws.gens])
         return G + z * spec.noise_scale * scale(b)
     monkeypatch.setattr(spec, "_minibatch_block", planted)
     assert not deviation_law_holds(spec, LAW_X, LAW_DRAWS, RngStream(2026))
@@ -495,3 +513,43 @@ class TestColumnarTrace:
         assert bare.records[0].x_snapshot is None
         with pytest.raises(ValueError, match="x snapshots"):
             bare.xs()
+
+
+@pytest.mark.parametrize("tape_steps", [1, 7, 64])
+@pytest.mark.parametrize("spec", objectives(), ids=lambda s: s.kind)
+def test_tapes_equal_the_written_out_step_loop(spec, tape_steps, monkeypatch):
+    """Whatever number K of steps a tape holds, every cell of a stack of up
+    to 150 steps (not a multiple of 7 or 64) equals the one-generator step
+    loop, while cells leave the stack at their own steps (48 to 150, but for
+    the constant gradient, whose cells all run to the cap) and the tape
+    drops their rows."""
+    monkeypatch.setattr(problems, "_TAPE_STEPS", tape_steps)
+    config, x0 = CONFIGS[1], spec.default_start() * 0.5
+    stop = StopRule(epsilon=0.3 * float(np.linalg.norm(spec.grad(x0))))
+    streams = [RngStream(15).child("tape", c) for c in range(6)]
+    opts = TraceOptions(record=True, record_x=True)
+    traces = simulate(spec, config, streams, x0=x0, stop=stop, max_steps=150,
+                      trace_options=opts)
+    for stream, trace in zip(streams, traces):
+        ref = reference_run(spec, config, x0, 150, stream, stop=stop)
+        assert (trace.exit_reason, trace.steps) == (ref["exit_reason"], ref["steps"])
+        for name in ("x_final", "x_snapshot", "minibatch_grad", "search_direction"):
+            assert np.array_equal(getattr(trace, name), ref[name]), name
+    if not isinstance(spec, ConstantGradient):
+        assert len({t.steps for t in traces}) > 2
+
+
+@pytest.mark.parametrize("rows", [13, 1000, 2000])
+def test_a_tape_holds_at_most_a_block_of_scalars(rows):
+    """A tape of dim-100 rows holds at most _CHUNK_SCALARS scalars: 13 rows
+    keep the full K = 64 steps (83,200), 1,000 rows one step (100,000), and
+    2,000 rows, whose one step is 200,000 scalars, no tape at all; every
+    step still gives each row its generator's next 100 normals."""
+    gens = [np.random.default_rng(r) for r in range(rows)]
+    want = [np.random.default_rng(r).standard_normal((3, 100)) for r in range(rows)]
+    draws = CellDraws(gens)
+    for t in range(3):
+        z = draws.standard_normal((rows, 100))
+        assert draws._tape.size <= problems._CHUNK_SCALARS
+        assert np.array_equal(z, [w[t] for w in want])
+    assert draws._tape.shape[1] == {13: 64, 1000: 1, 2000: 0}[rows]

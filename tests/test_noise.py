@@ -1,5 +1,8 @@
 """Noise measurement: gradient noise, search-direction noise, tails."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from noise_lab.noise import (
     search_direction_noise,
     tail_stats,
 )
-from noise_lab.optimizers import OptimizerConfig, TraceOptions, run
+from noise_lab.optimizers import OptimizerConfig, TraceOptions, run, simulate
 from noise_lab.problems import ConstantGradient, NoisyQuadratic, RngStream
 
 
@@ -20,6 +23,42 @@ def stationary_trace(beta, steps, c_sq=1.0, eta=0.05, seed=7):
     trace = run(spec, cfg, x0=np.zeros(2), max_steps=steps, rng=RngStream(seed),
                 trace_options=TraceOptions(record_x=False, record_f=False))
     return spec, trace
+
+
+LEVEL_RTOL, LEVEL_WINDOW = 0.1, 6_000
+
+
+def level_standard_error(beta, dim, n):
+    """Relative standard error of the mean of n consecutive ||omega_t||^2 at
+    stationarity. Each of the dim coordinates of omega is a Gaussian AR(1)
+    with coefficient beta and variance v, so its square has autocovariance
+    2 v^2 beta^(2k), and the mean of n squares has variance
+    2 v^2 (1 + beta^2) / ((1 - beta^2) n); the dim coordinates are independent."""
+    return math.sqrt(2 * (1 + beta ** 2) / ((1 - beta ** 2) * dim * n))
+
+
+def cells_for_level(beta, dim=2):
+    """Independent cells whose averaged window means put 3 standard errors
+    within LEVEL_RTOL: one at beta = 0.5, 2 at 0.9, 15 at 0.99, where the
+    autocorrelation time is ~100 steps and one 6,000-step window is 1.3
+    standard errors from a 10% miss."""
+    return math.ceil((3 * level_standard_error(beta, dim, LEVEL_WINDOW) / LEVEL_RTOL) ** 2)
+
+
+@functools.lru_cache(maxsize=None)
+def stationary_level(beta):
+    """Mean ||omega||^2 over the post-burn-in windows of independent nshb cells
+    on a constant gradient (C^2 = 1, b = 1) stepped as one stack, and whether
+    every cell's direction-noise flag passes."""
+    spec = ConstantGradient(dim=2, variance=1.0, coefficient=[1.0, 1.0])
+    cfg = OptimizerConfig(algo="nshb", eta=0.05, beta=beta, batch_size=1)
+    streams = [RngStream(7).child(c) for c in range(cells_for_level(beta))]
+    traces = simulate(spec, cfg, streams, x0=np.zeros(2),
+                      max_steps=default_burn_in(beta) + LEVEL_WINDOW,
+                      trace_options=TraceOptions(record_x=False, record_f=False))
+    summaries = [search_direction_noise(t, spec).summary for t in traces]
+    return (float(np.mean([s.mean_omega_sq for s in summaries])),
+            all(s.direction_noise_bound_holds for s in summaries))
 
 
 class TestGradientNoiseSamples:
@@ -62,13 +101,23 @@ class TestSearchDirectionNoise:
     @pytest.mark.parametrize("beta", [0.5, 0.9, 0.99])
     def test_stationary_momentum_noise_level(self, beta):
         """Mean ||omega||^2 settles at (1-beta)/(1+beta) * C^2/b, below the
-        C^2/b bound, so the direction-noise flag passes."""
-        steps = default_burn_in(beta) + 6_000
-        spec, trace = stationary_trace(beta, steps)
-        report = search_direction_noise(trace, spec)
-        expected = (1 - beta) / (1 + beta)
-        np.testing.assert_allclose(report.summary.mean_omega_sq, expected, rtol=0.1)
-        assert report.summary.direction_noise_bound_holds is True
+        C^2/b bound, so the direction-noise flag passes; enough cells are
+        averaged that the 10% tolerance is at least 3 standard errors."""
+        cells = cells_for_level(beta)
+        assert 3 * level_standard_error(beta, 2, LEVEL_WINDOW) / math.sqrt(cells) <= LEVEL_RTOL
+        level, flags_pass = stationary_level(beta)
+        np.testing.assert_allclose(level, (1 - beta) / (1 + beta), rtol=LEVEL_RTOL)
+        assert flags_pass
+
+    @pytest.mark.parametrize("planted", [lambda beta: 1 / (1 + beta),
+                                         lambda beta: 1.25 * (1 - beta) / (1 + beta)],
+                             ids=["one-over-one-plus-beta", "level-25-percent-high"])
+    @pytest.mark.parametrize("beta", [0.5, 0.9, 0.99])
+    def test_stationary_level_catches_a_planted_level(self, beta, planted):
+        """The same measurement rejects a wrong stationary level: 1/(1+beta),
+        or the right one 25% high (3.75 standard errors past the tolerance)."""
+        level, _ = stationary_level(beta)
+        assert not np.isclose(level, planted(beta), rtol=LEVEL_RTOL, atol=0.0)
 
     def test_stationary_noise_formula_against_plain_recurrence(self):
         """Independent oracle: simulate the scalar buffer recurrence directly

@@ -47,14 +47,15 @@ class TestRngStream:
 
 def numpy_generator(stream, *step):
     """The oracle: numpy's own SeedSequence seeding of the stream's path, or
-    of child(t)'s when a step t is given."""
+    of child(t)'s when a label t is given."""
     seq = np.random.SeedSequence(stream.master_seed, spawn_key=stream.path + step)
     return np.random.default_rng(seq)
 
 
 def assert_numpy_bits(stream, *step):
-    """stream.generator() or, given a step t, stream.generator(t) draws numpy's bits."""
-    ours, oracle = stream.generator(*step), numpy_generator(stream, *step)
+    """stream.generator() or, given a label t, stream.child(t).generator() draws
+    numpy's bits."""
+    ours, oracle = stream.child(*step).generator(), numpy_generator(stream, *step)
     np.testing.assert_array_equal(ours.standard_normal(5), oracle.standard_normal(5))
     np.testing.assert_array_equal(ours.integers(0, 2 ** 62, size=5),
                                   oracle.integers(0, 2 ** 62, size=5))
@@ -64,7 +65,9 @@ MASTER_SEEDS = [0, 1, 2024, 2 ** 32 + 5, 2 ** 70 + 3, 2 ** 130 + 7]
 
 
 class TestSeedSequenceReplay:
-    """generator() and generator(t) draw bit for bit what numpy's SeedSequence seeds."""
+    """A stream's generator draws bit for bit what numpy's SeedSequence seeds
+    from its path, for any seed and any labels, a child's included; stream
+    contract 3 builds one such generator per stepped cell."""
 
     @pytest.mark.parametrize("seed", MASTER_SEEDS)
     @pytest.mark.parametrize("path", [(), ("minibatch",), (3, "ensemble", 0),
@@ -99,14 +102,6 @@ class TestSeedSequenceReplay:
         for parent in (RngStream(seed), RngStream(seed, ("cell", 2 ** 40))):
             assert_numpy_bits(parent.child(*labels))
 
-    @pytest.mark.parametrize("parent", [RngStream(17).child("cell"), RngStream(2 ** 130 + 7),
-                                        RngStream(2 ** 70 + 3, (2 ** 40, "cell", 2 ** 64 + 9))])
-    def test_a_block_fills_from_the_first_label(self, parent):
-        for t in (5, 6, 700):
-            assert_numpy_bits(parent, t)
-            assert parent._child_seeds.window[0] == (700 if t == 700 else 5)
-            assert len(parent._child_seeds.window[1]) == 128
-
     def test_parents_interleaved(self):
         parents = [RngStream(seed).child(c) for seed in (1, 2 ** 70 + 3) for c in range(3)]
         steps = [(p, t) for p in parents for t in range(300)]
@@ -118,14 +113,19 @@ class TestSeedSequenceReplay:
                                         RngStream(2 ** 70 + 3, (2 ** 40, "cell"))])
     @pytest.mark.parametrize("t", [0, 127, 128, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1])
     def test_step_generator_is_the_childs(self, stream, t):
-        ours = stream.generator(t).standard_normal(5)
-        assert np.array_equal(ours, stream.child(t).generator().standard_normal(5))
+        """The substream of label t is the stream of the path with t appended."""
+        ours = stream.child(t).generator().standard_normal(5)
+        assert np.array_equal(ours, RngStream(stream.master_seed, stream.path + (t,))
+                              .generator().standard_normal(5))
         assert np.array_equal(ours, numpy_generator(stream, t).standard_normal(5))
 
     def test_memo_is_not_part_of_the_value(self):
+        """A stream that has built generators and children keeps nothing of
+        them: it is still the value it was made as."""
         stepped = RngStream(5).child(3)
-        stepped.generator(7)
-        assert stepped._child_seeds is not None
+        stepped.generator().standard_normal(3)
+        stepped.child(7).generator()
+        assert vars(stepped) == {"master_seed": 5, "path": (3,)}
         assert stepped == RngStream(5, (3,)) and hash(stepped) == hash(RngStream(5, (3,)))
         assert repr(stepped) == "RngStream(master_seed=5, path=(3,))"
 
@@ -136,7 +136,7 @@ class TestSeedSequenceReplay:
             RngStream(-1).child(0)
 
     def test_threads_sharing_a_parent_get_numpy_bits(self):
-        """Threads race on one parent's block window; every draw still
+        """Threads derive children of one parent at once; every draw still
         equals numpy's."""
         parent = RngStream(2024).child("shared")
         labels = list(range(0, 2000, 3))
@@ -145,7 +145,7 @@ class TestSeedSequenceReplay:
 
         def worker(order):
             for t in order:
-                if not np.array_equal(parent.generator(t).standard_normal(3), want[t]):
+                if not np.array_equal(parent.child(t).generator().standard_normal(3), want[t]):
                     errors.append(t)
 
         orders = [random.Random(k).sample(labels, len(labels)) for k in range(4)]
