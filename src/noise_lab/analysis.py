@@ -26,10 +26,9 @@ import numpy as np
 
 from . import smoothing as _smoothing
 from . import sweep as _sweep
-from .noise import (_sq_norms, default_burn_in, minibatch_deviation_sq_samples,
-                    search_direction_noise)
+from .noise import default_burn_in, minibatch_deviation_sq_samples, search_direction_noise
 from .optimizers import OptimizerConfig, Trace, TraceOptions, run, simulate
-from .problems import ConstantGradient, NoisyQuadratic, Objective, RngStream
+from .problems import ConstantGradient, NoisyQuadratic, Objective, RngStream, rowdot
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,9 @@ def weighted_norm_identity(x, y, alpha) -> dict:
     a = np.asarray(alpha, dtype=float)
     if a.ndim and a.shape != x.shape[:-1]:
         raise ValueError(f"alpha has shape {a.shape}, expected one per row {x.shape[:-1]}")
-    lhs = _sq_norms(a[..., None] * x + (1.0 - a[..., None]) * y)
-    rhs = a * _sq_norms(x) + (1.0 - a) * _sq_norms(y) - a * (1.0 - a) * _sq_norms(x - y)
+    mix, diff = a[..., None] * x + (1.0 - a[..., None]) * y, x - y
+    lhs = rowdot(mix, mix)
+    rhs = a * rowdot(x, x) + (1.0 - a) * rowdot(y, y) - a * (1.0 - a) * rowdot(diff, diff)
     if x.ndim == 1:
         lhs, rhs = float(lhs), float(rhs)
     return {"lhs": lhs, "rhs": rhs, "abs_diff": abs(lhs - rhs)}
@@ -107,11 +107,11 @@ def stationarity_check(spec: Objective, x_star, directions: int,
         raise ValueError(f"directions must be >= 1, got {directions}")
     x_star = np.asarray(x_star, dtype=float)
     g = spec.grad(x_star)
-    grad_norm = float(np.linalg.norm(g))
+    grad_norm = math.sqrt(rowdot(g, g))
     gen = rng.generator()
     ys = x_star + gen.standard_normal((directions, x_star.size))
     ys = np.vstack([ys, x_star - g])
-    ips = (ys - x_star) @ g
+    ips = rowdot(ys - x_star, g)
     min_ip = float(np.min(ips))
     max_radius = float(np.max(np.linalg.norm(ys - x_star, axis=1)))
     ip_tol = grad_tol * max(max_radius, 1.0)
@@ -156,7 +156,8 @@ def convergence_bound_report(spec: Objective, config: OptimizerConfig, x0, x_ref
     if lhs < 0:
         notes.append("lhs is negative: iterates at or past stationarity on average")
 
-    comps = thm_rhs(config.algo, float(np.dot(x0 - x_ref, x0 - x_ref)), eta, steps,
+    d0 = x0 - x_ref
+    comps = thm_rhs(config.algo, float(rowdot(d0, d0)), eta, steps,
                     c_sq, config.batch_size, k_sq, d=d_hat, beta=beta)
     return BoundReport(
         lhs=lhs, lhs_confidence=conf, components=comps,
@@ -176,10 +177,11 @@ def _second_moment_check(trace: Trace, vectors: np.ndarray, burn_in: Optional[in
     if n <= burn_in:
         raise ValueError(f"trace has {n} steps, need more than burn_in={burn_in}")
     w = slice(burn_in, n)
-    grads = trace.grad
-    lhs = float(np.mean(_sq_norms(vectors[w])))
-    c2b = float(np.mean(_sq_norms(trace.minibatch_grad[w] - grads[w])))
-    k2 = float(np.max(_sq_norms(grads[w])))
+    v, grads = vectors[w], trace.grad[w]
+    dev = trace.minibatch_grad[w] - grads
+    lhs = float(np.mean(rowdot(v, v)))
+    c2b = float(np.mean(rowdot(dev, dev)))
+    k2 = float(np.max(rowdot(grads, grads)))
     rhs = (c2b + k2) * (1.0 + slack)
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs)}
 
@@ -232,7 +234,7 @@ def _identity_check(rng: RngStream, triples: int, block: int = 1024) -> CheckRes
         x = gen.standard_normal((n, 4)) * 10.0 ** gen.integers(-3, 4, size=(n, 1))
         y = gen.standard_normal((n, 4)) * 10.0 ** gen.integers(-3, 4, size=(n, 1))
         out = weighted_norm_identity(x, y, gen.uniform(-2.0, 3.0, size=n))
-        scale = np.maximum(np.maximum(_sq_norms(x), _sq_norms(y)), 1e-300)
+        scale = np.maximum(np.maximum(rowdot(x, x), rowdot(y, y)), 1e-300)
         worst = max(worst, float(np.max(out["abs_diff"] / scale)))
     return CheckResult("weighted-norm-identity", worst, 1e-12, worst <= 1e-12, True,
                        f"max scaled deviation over {triples} random triples")

@@ -33,11 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .optimizers import Trace
-from .problems import Objective, RngStream
-
-
-def _sq_norms(v):    # over the last axis: a row gets the same sum, stacked or alone
-    return np.add.reduce(v * v, axis=-1)
+from .problems import Objective, RngStream, rowdot
 
 
 def default_burn_in(beta: float) -> int:
@@ -56,8 +52,8 @@ def minibatch_deviation_sq_samples(spec: Objective, x, b: int, m: int,
     """m iid values of ||minibatch_grad - grad f||^2 at a fixed point; their
     mean estimates C^2 / b."""
     x = np.asarray(x, dtype=float)
-    g = spec.grad(x)
-    return _sq_norms(spec.minibatch_grad_means(x, b, m, rng) - g)
+    dev = spec.minibatch_grad_means(x, b, m, rng) - spec.grad(x)
+    return rowdot(dev, dev)
 
 
 @dataclass(frozen=True)
@@ -105,8 +101,8 @@ def search_direction_noise(trace: Trace, spec: Objective,
 
     grads, dirs, mbs = trace.grad, trace.search_direction, trace.minibatch_grad
 
-    omega_sq = _sq_norms(dirs - grads)
-    grad_noise_sq = _sq_norms(mbs - grads)
+    omega, noise = dirs - grads, mbs - grads
+    omega_sq, grad_noise_sq = rowdot(omega, omega), rowdot(noise, noise)
 
     w = slice(burn_in, n)
     mean_omega_sq = float(np.mean(omega_sq[w]))
@@ -117,7 +113,8 @@ def search_direction_noise(trace: Trace, spec: Objective,
     bound_holds = None if bound is None else bool(mean_omega_sq <= bound)
 
     # buffer lag: d_{t-1} (zero vector before the first step) vs the fresh draw
-    lag_sq = _sq_norms(np.vstack([np.zeros(spec.dim), dirs[:-1]]) - mbs)
+    lag = np.vstack([np.zeros(spec.dim), dirs[:-1]]) - mbs
+    lag_sq = rowdot(lag, lag)
     lhs = float(np.mean(lag_sq[w]))
     rhs = float(beta * (2.0 - beta) * mean_grad_noise_sq)
 

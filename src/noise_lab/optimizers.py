@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import CellDraws, Objective, RngStream
+from .problems import CellDraws, Objective, RngStream, rowdot
 from .reporting import json_number, json_numbers
 
 ALGOS = ("sgd", "nshb", "shb")
@@ -268,9 +268,10 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
             if record_x:
                 cols["x_snapshot"][rows, t] = x_t
             if record_f:
-                cols["f_value"][rows, t] = [spec.value(row) for row in x_t]
+                cols["f_value"][rows, t] = spec.value_many(x_t)
             if ref is not None:
-                cols["dist_to_ref"][rows, t] = [np.linalg.norm(row - ref) for row in x_t]
+                d = x_t - ref
+                cols["dist_to_ref"][rows, t] = np.sqrt(rowdot(d, d))
 
         if in_range:
             if accs is None:

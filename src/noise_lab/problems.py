@@ -51,6 +51,14 @@ _TAPE_STEPS = 64
 RNG_CONTRACT = 3
 
 
+def rowdot(a, b) -> np.ndarray:
+    """Sum over the last axis of a * b, the product laid out in C order: a
+    row's sum has the same bits alone or stacked, and no BLAS kernel (none
+    is called) changes them. Every dot product and norm that is written to
+    an artifact or steers a trajectory goes through here."""
+    return np.add.reduce(np.multiply(a, b, order="C"), axis=-1)
+
+
 def _label_to_int(label) -> int:
     if isinstance(label, str):
         return zlib.crc32(label.encode("utf-8"))
@@ -155,6 +163,11 @@ class Objective:
     # -- deterministic oracle -------------------------------------------------
 
     def value(self, x: np.ndarray) -> float:
+        """f(x): the one-row case of value_many, so the two agree bit for bit."""
+        return float(self.value_many(self._check_x(x)[None])[0])
+
+    def value_many(self, X: np.ndarray) -> np.ndarray:
+        """f at each row of X, shape (m,)."""
         raise NotImplementedError
 
     def grad(self, x: np.ndarray) -> np.ndarray:
@@ -173,8 +186,9 @@ class Objective:
         return None
 
     def lipschitz_on_box(self, radius: float) -> Optional[float]:
-        """Lipschitz constant of f on the box |x_j| <= radius, if computable."""
-        return None
+        """Lipschitz constant of f on the box |x_j| <= radius, if computable;
+        a global one serves."""
+        return self.constants().lipschitz
 
     def default_start(self) -> np.ndarray:
         return self._x0.copy()
@@ -308,17 +322,13 @@ class NoisyQuadratic(_AdditiveNoiseObjective):
         if np.any(self.curvature <= 0):
             raise ValueError("curvature diagonal must be positive")
 
-    def value(self, x):
-        x = self._check_x(x)
-        return float(0.5 * np.dot(self.curvature, x * x))
-
     def grad(self, x):
         x = self._check_x(x)
         return self.curvature * x
 
     def value_many(self, X):
         X = np.asarray(X, dtype=float)
-        return 0.5 * (X * X) @ self.curvature
+        return 0.5 * rowdot(X * X, self.curvature)
 
     def grad_many(self, X):
         return np.asarray(X, dtype=float) * self.curvature
@@ -327,7 +337,7 @@ class NoisyQuadratic(_AdditiveNoiseObjective):
         return np.zeros(self.dim)
 
     def lipschitz_on_box(self, radius):
-        return float(radius * np.linalg.norm(self.curvature))
+        return radius * math.sqrt(rowdot(self.curvature, self.curvature))
 
 
 class ConstantGradient(_AdditiveNoiseObjective):
@@ -341,31 +351,24 @@ class ConstantGradient(_AdditiveNoiseObjective):
         self.coefficient = _dim_vector(1.0 if coefficient is None else coefficient, self.dim,
                                        "coefficient vector")
 
-    def value(self, x):
-        x = self._check_x(x)
-        return float(np.dot(self.coefficient, x))
-
     def grad(self, x):
         self._check_x(x)
         return self.coefficient.copy()
 
     def value_many(self, X):
-        return np.asarray(X, dtype=float) @ self.coefficient
+        return rowdot(np.asarray(X, dtype=float), self.coefficient)
 
     def grad_many(self, X):
         X = np.asarray(X, dtype=float)
         return np.tile(self.coefficient, (X.shape[0], 1))
 
     def constants(self):
-        norm = float(np.linalg.norm(self.coefficient))
+        norm = math.sqrt(rowdot(self.coefficient, self.coefficient))
         return KnownConstants(
             variance=self.variance,
             grad_sq_bound=norm * norm,
             lipschitz=norm,
         )
-
-    def lipschitz_on_box(self, radius):
-        return float(np.linalg.norm(self.coefficient))
 
 
 class FiniteSumLeastSquares(Objective):
@@ -393,24 +396,24 @@ class FiniteSumLeastSquares(Objective):
         self.targets = targets
         self.n = data.shape[0]
 
-    def value(self, x):
-        x = self._check_x(x)
-        r = self.data @ x - self.targets
-        return float(0.5 * np.mean(r * r))
-
     def grad(self, x):
-        x = self._check_x(x)
-        r = self.data @ x - self.targets
-        return (self.data.T @ r) / self.n
+        r = rowdot(self.data, self._check_x(x)) - self.targets
+        return rowdot(self.data.T, r) / self.n
 
     def value_many(self, X):
-        R = np.asarray(X, dtype=float) @ self.data.T - self.targets
-        return 0.5 * np.mean(R * R, axis=1)
+        # a block of rows at a time: no (rows, n, dim) product holds more than
+        # _CHUNK_SCALARS scalars, unless one row does
+        X = np.asarray(X, dtype=float)
+        rows = max(1, _CHUNK_SCALARS // (self.n * self.dim))
+        out = np.empty(X.shape[0])
+        for lo in range(0, X.shape[0], rows):
+            r = rowdot(X[lo:lo + rows, None], self.data) - self.targets
+            out[lo:lo + rows] = 0.5 * np.mean(r * r, axis=-1)
+        return out
 
     def per_sample_grads(self, x) -> np.ndarray:
         """All n per-sample gradients at x, shape (n, dim)."""
-        x = self._check_x(x)
-        r = self.data @ x - self.targets
+        r = rowdot(self.data, self._check_x(x)) - self.targets
         return self.data * r[:, None]
 
     def constants(self):
@@ -420,28 +423,28 @@ class FiniteSumLeastSquares(Objective):
         )
 
     def minimizer(self):
+        # a LAPACK call: its last bits follow the BLAS kernel
         sol, *_ = np.linalg.lstsq(self.data, self.targets, rcond=None)
         return sol
 
     def lipschitz_on_box(self, radius):
-        # ||grad f(x)|| <= ||A^T A / n|| * sqrt(dim) * radius + ||A^T y / n||
-        gram = self.data.T @ self.data / self.n
-        bias = self.data.T @ self.targets / self.n
-        spectral = float(np.linalg.norm(gram, 2))
-        return spectral * radius * math.sqrt(self.dim) + float(np.linalg.norm(bias))
+        # ||grad f(x)|| <= ||A^T A / n|| * sqrt(dim) * radius + ||A^T y / n||; the
+        # spectral norm is a LAPACK call, so its last bits follow the BLAS kernel
+        spectral = float(np.linalg.norm(self.data.T @ self.data / self.n, 2))
+        bias = rowdot(self.data.T, self.targets) / self.n
+        return spectral * radius * math.sqrt(self.dim) + math.sqrt(rowdot(bias, bias))
 
     def _minibatch_block(self, X, b, draws, G, at_point):
-        # minibatch_grad_means and a stack's rows gather per-sample gradients;
-        # one generator for many points takes the einsum form, whose bits differ
-        if not isinstance(draws, np.random.Generator):
-            return np.concatenate([self.per_sample_grads(x)[gen.integers(0, self.n, size=(1, b))]
-                                   .mean(axis=1) for x, gen in zip(X, draws.gens)])
-        idx = draws.integers(0, self.n, size=(X.shape[0], b))
-        if at_point:
-            return self.per_sample_grads(X[0])[idx].mean(axis=1)
+        # one generator draws every row's b indices at once, a stack's rows each
+        # from their own; either way the rows' per-sample gradients are gathered
+        # and averaged, so a row's bits do not depend on the rows beside it
+        if isinstance(draws, np.random.Generator):
+            idx = draws.integers(0, self.n, size=(X.shape[0], b))
+        else:
+            idx = np.array([gen.integers(0, self.n, size=b) for gen in draws.gens])
         rows = self.data[idx]                                   # (m, b, dim)
-        r = np.einsum("mbd,md->mb", rows, X) - self.targets[idx]
-        return np.einsum("mb,mbd->md", r, rows) / b
+        r = rowdot(rows, X[:, None]) - self.targets[idx]
+        return (rows * r[..., None]).mean(axis=1)
 
 
 class SineBowl(_AdditiveNoiseObjective):
@@ -460,17 +463,13 @@ class SineBowl(_AdditiveNoiseObjective):
         if self.amplitude < 0 or self.frequency <= 0:
             raise ValueError("sine-bowl needs amplitude >= 0 and frequency > 0")
 
-    def value(self, x):
-        x = self._check_x(x)
-        return float(0.5 * np.dot(x, x) + self.amplitude * np.sum(np.sin(self.frequency * x)))
-
     def grad(self, x):
         x = self._check_x(x)
         return x + self.amplitude * self.frequency * np.cos(self.frequency * x)
 
     def value_many(self, X):
         X = np.asarray(X, dtype=float)
-        return 0.5 * np.sum(X * X, axis=1) + self.amplitude * np.sum(np.sin(self.frequency * X), axis=1)
+        return 0.5 * rowdot(X, X) + self.amplitude * np.sum(np.sin(self.frequency * X), axis=-1)
 
     def grad_many(self, X):
         X = np.asarray(X, dtype=float)

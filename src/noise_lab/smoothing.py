@@ -41,7 +41,7 @@ import numpy as np
 from .config import DISTRIBUTIONS, SHARPNESS_METHODS
 # bound at import: bench/tracer.py's wrapper of optimizers.nshb_step sees none of these steps
 from .optimizers import OptimizerState, nshb_step
-from .problems import Objective, RngStream
+from .problems import Objective, RngStream, rowdot
 
 _EVAL_CHUNK = 200_000
 
@@ -132,12 +132,6 @@ def _value_fn(f):
     return lambda X: np.asarray(f(X), dtype=float)
 
 
-def _point_value(f, x) -> float:
-    if isinstance(f, Objective):
-        return f.value(x)
-    return float(_value_fn(f)(x[None, :])[0])
-
-
 @dataclass(frozen=True)
 class SmoothedValue:
     estimate: float
@@ -153,7 +147,7 @@ def smoothed_value(f, x, smoothing: SmoothingSpec, rng: RngStream) -> SmoothedVa
     x = np.asarray(x, dtype=float)
     value = _value_fn(f)
     if smoothing.delta == 0.0:
-        return SmoothedValue(estimate=_point_value(f, x), std_error=0.0,
+        return SmoothedValue(estimate=float(value(x[None])[0]), std_error=0.0,
                              samples=smoothing.samples, mean_direction_norm=0.0)
     gen = rng.generator()
     m = smoothing.samples
@@ -214,12 +208,12 @@ def smoothing_gap_check(f, points, delta: float, lipschitz: Optional[float] = No
             raise ValueError("Lipschitz constant unknown; pass lipschitz= explicitly")
     if samples < 2:     # one sample has no standard error, so no Monte-Carlo allowance
         raise ValueError(f"the gap check needs samples >= 2, got {samples}")
-    spec = SmoothingSpec(delta=delta, dist=dist, samples=samples)
+    spec, value = SmoothingSpec(delta=delta, dist=dist, samples=samples), _value_fn(f)
     results = []
     for i, point in enumerate(points):
         point = np.asarray(point, dtype=float)
         sv = smoothed_value(f, point, spec, rng.child(i))
-        f_x = _point_value(f, point)
+        f_x = float(value(point[None])[0])
         gap = abs(sv.estimate - f_x)
         bound = delta * lipschitz
         slack = 3.0 * sv.std_error + 1e-9 * max(1.0, abs(f_x))
@@ -276,22 +270,23 @@ def gd_vs_nshb_expectation(spec: Objective, x_start, eta: float, beta: float,
     mean = deltas.mean(axis=0)
     var = deltas.var(axis=0, ddof=1)
     radius = 3.0 * math.sqrt(float(np.sum(var)) / replicas)
-    discrepancy = float(np.linalg.norm(mean))
+    discrepancy = _norm(mean)
     return MeanUpdateReport(
         discrepancy=discrepancy,
         confidence_radius=radius,
         within_confidence=bool(discrepancy <= radius),
         replicas=replicas,
         burn_in=burn_in,
-        early_bias_reference=float(eta * beta * np.linalg.norm(spec.grad(x_start))),
+        early_bias_reference=eta * beta * _norm(spec.grad(x_start)),
     )
 
 
 def _norm(v: np.ndarray) -> float:
     """||v||_2, rescaled only when its squares overflow: a norm in range keeps its bits."""
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):        # an overflow is what the rescale handles
+        norm = math.sqrt(rowdot(v, v))
     top = float(np.max(np.abs(v))) if math.isinf(norm) else math.inf
-    return norm if math.isinf(top) else top * float(np.linalg.norm(v / top))
+    return norm if math.isinf(top) else top * _norm(v / top)
 
 
 def _project_feasible(delta: np.ndarray, rho: float, c: np.ndarray, p: str) -> np.ndarray:
@@ -348,5 +343,5 @@ def adaptive_sharpness(spec: Objective, w, sharp: SharpnessSpec, rng: RngStream)
             if gn > 0:
                 ascent = step * (c * ((c * g) / gn)) if c_overflows else step * (c * c * g) / gn
                 delta = _project_feasible(delta + ascent, sharp.rho, c, p)
-        best = float(np.maximum(best, spec.value_many(w + delta[None, :])[0] - base))
+        best = float(np.maximum(best, spec.value(w + delta) - base))
     return best

@@ -220,12 +220,9 @@ def unblocked_draws(spec, X, b, gen, at_point):
     minibatch_grad_means; otherwise a step's draw, as in
     minibatch_grad_ensemble, where the additive kinds draw each mean directly."""
     if isinstance(spec, FiniteSumLeastSquares):
+        # every path gathers each row's per-sample gradients at its b indices
         idx = gen.integers(0, spec.n, size=(X.shape[0], b))
-        if at_point:
-            return spec.per_sample_grads(X[0])[idx].mean(axis=1)
-        rows = spec.data[idx]
-        r = np.einsum("mbd,md->mb", rows, X) - spec.targets[idx]
-        return np.einsum("mb,mbd->md", r, rows) / b
+        return np.array([spec.per_sample_grads(x)[i].mean(axis=0) for x, i in zip(X, idx)])
     g = spec.grad(X[0]) if at_point else spec.grad_many(X)
     if spec.variance == 0.0:
         return g + np.zeros_like(X)
@@ -487,7 +484,7 @@ class TestColumnarTrace:
         for t, rec in enumerate(recs):
             assert rec.f_value == self.spec.value(trace.x_snapshot[t])
             assert np.array_equal(rec.search_direction, trace.search_direction[t])
-            assert rec.dist_to_ref == np.linalg.norm(trace.xs()[t])
+            assert rec.dist_to_ref == np.sqrt(np.sum(trace.xs()[t] ** 2))
             assert rec.as_dict()["grad"] == [float(v) for v in trace.grad[t]]
 
     def test_records_reproduce_every_column(self):

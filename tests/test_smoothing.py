@@ -1,8 +1,11 @@
 """Smoothing operator, gap bound, mean-update identity, sharpness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from noise_lab import problems
 from noise_lab.problems import (ConstantGradient, FiniteSumLeastSquares, NoisyQuadratic,
                                 RngStream, SineBowl)
 from noise_lab.smoothing import (
@@ -130,6 +133,26 @@ class TestSmoothedValue:
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="overflow"):
             smoothed_value(q, np.zeros(2), SmoothingSpec(delta=1e100, samples=1000),
                            RngStream(0))
+
+    def test_finite_sum_values_in_bounded_blocks(self):
+        """A large finite sum's values are taken a block of rows at a time, in
+        the smoothing average and in a random search alike: no temporary holds
+        more than _CHUNK_SCALARS scalars, where a (points, n) residual matrix
+        and its square held 8 MB each."""
+        gen = np.random.default_rng(5)
+        fs = FiniteSumLeastSquares(gen.standard_normal((2000, 16)), gen.standard_normal(2000))
+        x = np.zeros(16)
+        for measure in (
+                lambda: smoothed_value(fs, x, SmoothingSpec(delta=0.1, samples=500), RngStream(6)),
+                lambda: adaptive_sharpness(fs, x, SharpnessSpec(rho=0.1, method="random-search",
+                                                                iters=500), RngStream(7))):
+            tracemalloc.start()
+            try:
+                measure()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 8 * problems._CHUNK_SCALARS
 
 
 class TestSmoothingGapCheck:
