@@ -142,7 +142,7 @@ class TraceRecord:
     update actually followed (g, d_t, or m_t)."""
 
     t: int
-    f_value: float
+    f_value: Optional[float]
     grad: np.ndarray
     search_direction: np.ndarray
     minibatch_grad: np.ndarray
@@ -150,13 +150,14 @@ class TraceRecord:
     dist_to_ref: Optional[float] = None
 
     def as_dict(self) -> dict:
-        # JSON has no NaN or infinity: a value that overflowed is written as null
-        out = {"t": self.t, "f_value": json_number(float(self.f_value))}
+        # JSON has no NaN or infinity: an overflowed or unrecorded value is written as null
+        def number(v):
+            return None if v is None else json_number(float(v))
+        out = {"t": self.t, "f_value": number(self.f_value)}
         for name in ("grad", "search_direction", "minibatch_grad", "x_snapshot"):
             v = getattr(self, name)
             out[name] = None if v is None else json_numbers(np.asarray(v, dtype=float).tolist())
-        out["dist_to_ref"] = (None if self.dist_to_ref is None
-                              else json_number(float(self.dist_to_ref)))
+        out["dist_to_ref"] = number(self.dist_to_ref)
         return out
 
 
@@ -225,10 +226,11 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
 
     cols = {}
     if opts.record:
-        cols["f_value"] = np.full((cells, max_steps), np.nan)
         names = ["grad", "search_direction", "minibatch_grad"]
         names += ["x_snapshot"] if opts.record_x else []
         cols.update((n, np.empty((cells, max_steps, spec.dim))) for n in names)
+        if opts.record_f:
+            cols["f_value"] = np.empty((cells, max_steps))
         if ref is not None:
             cols["dist_to_ref"] = np.empty((cells, max_steps))
 
@@ -237,7 +239,7 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
         "sgd": (_sgd, (config.eta,), False),
         "nshb": (_nshb, (config.eta, config.beta), True),
         "shb": (_shb, (config.gamma, config.beta_bar), True)}[config.algo]
-    b, grad_many, draw = config.batch_size, spec.grad_many, spec.minibatch_grad_ensemble
+    b, grad, draw = config.batch_size, spec.grad, spec.minibatch_grad_ensemble
     record, record_x, record_f = opts.record, opts.record_x, opts.record_f
     live = np.arange(cells)               # cell id of each row of the stacked state
     draws = CellDraws([s.generator() for s in streams])
@@ -248,7 +250,7 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
         if not live.size:         # every cell has ended, or there was none
             break
         x_t = state.x
-        g = grad_many(x_t)
+        g = grad(x_t)
         gb = draw(x_t, b, draws, g)
         update(state, gb, *update_args)
         # one test of the whole stack, row by row only when it fails; a NaN or infinite
@@ -268,7 +270,7 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
             if record_x:
                 cols["x_snapshot"][rows, t] = x_t
             if record_f:
-                cols["f_value"][rows, t] = spec.value_many(x_t)
+                cols["f_value"][rows, t] = spec.value(x_t)
             if ref is not None:
                 d = x_t - ref
                 cols["dist_to_ref"][rows, t] = np.sqrt(rowdot(d, d))

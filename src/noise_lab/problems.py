@@ -2,7 +2,8 @@
 
 Every objective exposes three oracles:
 
-  * the exact value f(x) and exact full gradient (value, grad),
+  * the exact value f(x) and exact full gradient (value, grad), each
+    written once per kind for a point (dim,) or a stack of points (m, dim),
   * a single stochastic gradient draw G(x), the b = 1 minibatch, that is
     unbiased, E[G(x)] = grad f(x), with deviation second moment
     E||G - grad f||^2 equal to a configured constant C^2 (additive-noise
@@ -162,22 +163,14 @@ class Objective:
 
     # -- deterministic oracle -------------------------------------------------
 
-    def value(self, x: np.ndarray) -> float:
-        """f(x): the one-row case of value_many, so the two agree bit for bit."""
-        return float(self.value_many(self._check_x(x)[None])[0])
-
-    def value_many(self, X: np.ndarray) -> np.ndarray:
-        """f at each row of X, shape (m,)."""
+    def value(self, x):
+        """f at a point (dim,), a float, or at each row of a stack (m, dim), shape (m,).
+        Every sum runs through rowdot, so a row has the same bits alone or stacked."""
         raise NotImplementedError
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
+    def grad(self, x):
+        """The exact gradient at a point (dim,), or at each row of a stack, (m, dim)."""
         raise NotImplementedError
-
-    def grad_many(self, X: np.ndarray) -> np.ndarray:
-        """Gradients at each row of X, shape (m, dim); row r equals grad(X[r])
-        bit for bit, which the lockstep engine relies on."""
-        X = np.asarray(X, dtype=float)
-        return np.stack([self.grad(row) for row in X])
 
     def constants(self) -> KnownConstants:
         return KnownConstants()
@@ -199,6 +192,13 @@ class Objective:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"x has shape {x.shape}, expected ({self.dim},)")
+        return x
+
+    def _points(self, x) -> np.ndarray:
+        """x as a float point (dim,) or stack (m, dim); any other shape raises."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise ValueError(f"x has shape {x.shape}, expected ({self.dim},) or (m, {self.dim})")
         return x
 
     def minibatch_grad_means(self, x, b: int, m: int, rng: RngStream) -> np.ndarray:
@@ -290,7 +290,7 @@ class _AdditiveNoiseObjective(Objective):
     def _minibatch_block(self, X, b, draws, G, at_point):
         # means at a point average b real draws; a step draws the mean of b iid
         # N(0, s^2) as one N(0, s^2 / b), exact in law and the same bits at b = 1
-        G = self.grad_many(X) if G is None else G
+        G = self.grad(X) if G is None else G
         if self.variance == 0.0:
             return G.copy()
         if not at_point:        # G + (s * z) / sqrt(b): addition commutes exactly
@@ -322,16 +322,12 @@ class NoisyQuadratic(_AdditiveNoiseObjective):
         if np.any(self.curvature <= 0):
             raise ValueError("curvature diagonal must be positive")
 
+    def value(self, x):
+        x = self._points(x)
+        return 0.5 * rowdot(x * x, self.curvature)
+
     def grad(self, x):
-        x = self._check_x(x)
-        return self.curvature * x
-
-    def value_many(self, X):
-        X = np.asarray(X, dtype=float)
-        return 0.5 * rowdot(X * X, self.curvature)
-
-    def grad_many(self, X):
-        return np.asarray(X, dtype=float) * self.curvature
+        return self.curvature * self._points(x)
 
     def minimizer(self):
         return np.zeros(self.dim)
@@ -351,16 +347,13 @@ class ConstantGradient(_AdditiveNoiseObjective):
         self.coefficient = _dim_vector(1.0 if coefficient is None else coefficient, self.dim,
                                        "coefficient vector")
 
+    def value(self, x):
+        return rowdot(self._points(x), self.coefficient)
+
     def grad(self, x):
-        self._check_x(x)
-        return self.coefficient.copy()
-
-    def value_many(self, X):
-        return rowdot(np.asarray(X, dtype=float), self.coefficient)
-
-    def grad_many(self, X):
-        X = np.asarray(X, dtype=float)
-        return np.tile(self.coefficient, (X.shape[0], 1))
+        out = np.empty(self._points(x).shape)
+        out[...] = self.coefficient
+        return out
 
     def constants(self):
         norm = math.sqrt(rowdot(self.coefficient, self.coefficient))
@@ -396,20 +389,28 @@ class FiniteSumLeastSquares(Objective):
         self.targets = targets
         self.n = data.shape[0]
 
-    def grad(self, x):
-        r = rowdot(self.data, self._check_x(x)) - self.targets
-        return rowdot(self.data.T, r) / self.n
-
-    def value_many(self, X):
-        # a block of rows at a time: no (rows, n, dim) product holds more than
-        # _CHUNK_SCALARS scalars, unless one row does
-        X = np.asarray(X, dtype=float)
+    def _residuals(self, X):
+        """(block, r) for each block of rows of the stack X, r the (rows, n)
+        residuals a_i . x - y_i: a block at a time, no (rows, n, dim) product
+        holds more than _CHUNK_SCALARS scalars, unless one row does."""
         rows = max(1, _CHUNK_SCALARS // (self.n * self.dim))
-        out = np.empty(X.shape[0])
         for lo in range(0, X.shape[0], rows):
-            r = rowdot(X[lo:lo + rows, None], self.data) - self.targets
-            out[lo:lo + rows] = 0.5 * np.mean(r * r, axis=-1)
-        return out
+            yield slice(lo, lo + rows), rowdot(X[lo:lo + rows, None], self.data) - self.targets
+
+    def value(self, x):
+        x = self._points(x)
+        X, out = x.reshape(-1, self.dim), np.empty(x.size // self.dim)
+        for blk, r in self._residuals(X):
+            out[blk] = 0.5 * np.mean(r * r, axis=-1)
+        return out if x.ndim == 2 else out[0]
+
+    def grad(self, x):
+        x = self._points(x)
+        X = x.reshape(-1, self.dim)
+        out = np.empty_like(X)
+        for blk, r in self._residuals(X):
+            out[blk] = rowdot(self.data.T, r[:, None]) / self.n
+        return out.reshape(x.shape)
 
     def per_sample_grads(self, x) -> np.ndarray:
         """All n per-sample gradients at x, shape (n, dim)."""
@@ -463,17 +464,13 @@ class SineBowl(_AdditiveNoiseObjective):
         if self.amplitude < 0 or self.frequency <= 0:
             raise ValueError("sine-bowl needs amplitude >= 0 and frequency > 0")
 
+    def value(self, x):
+        x = self._points(x)
+        return 0.5 * rowdot(x, x) + self.amplitude * np.sum(np.sin(self.frequency * x), axis=-1)
+
     def grad(self, x):
-        x = self._check_x(x)
+        x = self._points(x)
         return x + self.amplitude * self.frequency * np.cos(self.frequency * x)
-
-    def value_many(self, X):
-        X = np.asarray(X, dtype=float)
-        return 0.5 * rowdot(X, X) + self.amplitude * np.sum(np.sin(self.frequency * X), axis=-1)
-
-    def grad_many(self, X):
-        X = np.asarray(X, dtype=float)
-        return X + self.amplitude * self.frequency * np.cos(self.frequency * X)
 
     def lipschitz_on_box(self, radius):
         return float(math.sqrt(self.dim) * (radius + self.amplitude * self.frequency))

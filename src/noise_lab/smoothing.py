@@ -124,9 +124,9 @@ def draw_directions(dist: str, dim: int, m: int, gen: np.random.Generator) -> np
 
 
 def _value_fn(f):
-    """f's values at the rows of an (m, dim) array (value_many for an objective)."""
+    """f's values at the rows of an (m, dim) array (value for an objective)."""
     if isinstance(f, Objective):
-        return f.value_many
+        return f.value
     if not callable(f):
         raise TypeError("f must be an Objective or a callable")
     return lambda X: np.asarray(f(X), dtype=float)
@@ -264,7 +264,7 @@ def gd_vs_nshb_expectation(spec: Objective, x_start, eta: float, beta: float,
         if not np.all(np.isfinite(state.x)):
             raise FloatingPointError(f"replica ensemble diverged at burn-in step {t}")
 
-    grads = spec.grad_many(state.x)
+    grads = spec.grad(state.x)
     nshb_step(state, spec.minibatch_grad_ensemble(state.x, batch_size, gen, grads), eta, beta)
     deltas = -eta * (state.momentum - grads)   # x_{t+1} - (x_t - eta grad f(x_t)) per replica
     mean = deltas.mean(axis=0)
@@ -323,7 +323,7 @@ def adaptive_sharpness(spec: Objective, w, sharp: SharpnessSpec, rng: RngStream)
             deltas = sharp.rho * c * gen.uniform(-1.0, 1.0, size=(sharp.iters, w.size))
         else:
             deltas = sharp.rho * c * draw_directions("ball-uniform", w.size, sharp.iters, gen)
-        vals = spec.value_many(w + deltas) - base
+        vals = spec.value(w + deltas) - base
         return float(np.maximum(best, np.max(vals)))     # a NaN value is kept, not dropped
 
     delta = _project_feasible(sharp.rho * c * gen.uniform(-0.5, 0.5, size=w.size),

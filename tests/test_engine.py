@@ -142,10 +142,13 @@ class TestParity:
             assert np.array_equal(getattr(trace, name), ref[name]), name
 
     def test_grad_many_rows_equal_grad(self, spec, config):
+        """The gradient and value of a stack of many rows equal, row by row, those
+        at each point alone."""
         X = np.random.default_rng(3).standard_normal((7, spec.dim)) * 2.0
-        G = spec.grad_many(X)
-        for x, g in zip(X, G):
+        G, F = spec.grad(X), spec.value(X)
+        for x, g, f in zip(X, G, F):
             assert np.array_equal(g, spec.grad(x))
+            assert f == spec.value(x)
 
     def test_per_row_streams_equal_minibatch_grad(self, spec, config, monkeypatch):
         """The first step of a stack, each row from its stream's generator, is
@@ -158,7 +161,7 @@ class TestParity:
             monkeypatch.setattr(problems, "_CHUNK_SCALARS", chunk_scalars)
             for b in (1, 4, 33):
                 draws = CellDraws([s.generator() for s in streams])
-                G = spec.minibatch_grad_ensemble(X, b, draws, spec.grad_many(X))
+                G = spec.minibatch_grad_ensemble(X, b, draws, spec.grad(X))
                 for x, s, g in zip(X, streams, G):
                     assert np.array_equal(g, step_draw(spec, x, b, cell_generator(s)))
                     if b == 1 or isinstance(spec, FiniteSumLeastSquares):
@@ -180,23 +183,30 @@ def test_b1_runs_equal_the_v1_step_loop(spec, config):
         assert np.array_equal(getattr(trace, name), ref[name]), name
 
 
-@pytest.mark.parametrize("spec", [s for s in objectives() if s.variance > 0],
+@pytest.mark.parametrize("spec", [s for s in objectives() if s.variance > 0] + [
+    FiniteSumLeastSquares(np.random.default_rng(8).standard_normal((200, 8)),
+                          np.random.default_rng(9).standard_normal(200))],
                          ids=lambda s: s.kind)
 def test_one_exact_gradient_per_step(spec, monkeypatch):
-    """The step's draw reuses the gradient the engine already holds."""
+    """A step makes one call of its kind's gradient, on the whole stack, and
+    the step's draw reuses the gradient the engine already holds."""
     calls = []
-    grad_many = spec.grad_many
+    grad = type(spec).grad
 
-    def counted(X):
-        calls.append(len(X))
-        return grad_many(X)
-    monkeypatch.setattr(spec, "grad_many", counted)
+    def counted(obj, x):
+        calls.append(np.shape(x))
+        return grad(obj, x)
+    monkeypatch.setattr(type(spec), "grad", counted)
     config = CONFIGS[1]
     simulate(spec, config, [RngStream(6).child(c) for c in range(4)], max_steps=30)
-    assert calls == [4] * 30
+    assert calls == [(4, spec.dim)] * 30
     calls.clear()
     run(spec, config, max_steps=30, rng=RngStream(6))
-    assert calls == [1] * 30
+    assert calls == [(1, spec.dim)] * 30
+    if isinstance(spec, FiniteSumLeastSquares):
+        calls.clear()
+        simulate(spec, config, [RngStream(6).child(c) for c in range(100)], max_steps=5)
+        assert calls == [(100, spec.dim)] * 5
 
 
 def test_the_step_loop_builds_no_streams(monkeypatch):
@@ -223,7 +233,7 @@ def unblocked_draws(spec, X, b, gen, at_point):
         # every path gathers each row's per-sample gradients at its b indices
         idx = gen.integers(0, spec.n, size=(X.shape[0], b))
         return np.array([spec.per_sample_grads(x)[i].mean(axis=0) for x, i in zip(X, idx)])
-    g = spec.grad(X[0]) if at_point else spec.grad_many(X)
+    g = spec.grad(X)
     if spec.variance == 0.0:
         return g + np.zeros_like(X)
     if not at_point:
@@ -281,7 +291,7 @@ class TestDrawBlocks:
     def test_ensemble_from_one_stream(self, spec, b, rows, blocks):
         calls = blocks(False)
         X = self.points(spec)
-        got = spec.minibatch_grad_ensemble(X, b, RngStream(4, (b,)).generator(), spec.grad_many(X))
+        got = spec.minibatch_grad_ensemble(X, b, RngStream(4, (b,)).generator(), spec.grad(X))
         want = unblocked_draws(spec, X, b, RngStream(4, (b,)).generator(), False)
         assert np.array_equal(got, want)
         assert len(calls) == (1 if rows is None else -(-10 // rows))
@@ -293,7 +303,7 @@ class TestDrawBlocks:
         X = self.points(spec)
         streams = [RngStream(5, (b, r)) for r in range(len(X))]
         got = spec.minibatch_grad_ensemble(X, b, CellDraws([s.generator() for s in streams]),
-                                           spec.grad_many(X))
+                                           spec.grad(X))
         assert np.array_equal(got, [step_draw(spec, x, b, cell_generator(s))
                                     for x, s in zip(X, streams)])
         assert len(calls) == 1
@@ -307,7 +317,7 @@ class TestDrawBlocks:
                      lambda: CellDraws([RngStream(5, (b, r)).generator()
                                         for r in range(len(X))])):
             assert np.array_equal(spec.minibatch_grad_ensemble(X, b, gens()),
-                                  spec.minibatch_grad_ensemble(X, b, gens(), spec.grad_many(X)))
+                                  spec.minibatch_grad_ensemble(X, b, gens(), spec.grad(X)))
 
 
 LAW_BATCHES = (1, 8, 512)
@@ -445,7 +455,7 @@ def test_a_non_finite_minibatch_gradient_ends_only_its_cell(config):
 def test_no_streams_take_no_steps(monkeypatch):
     """A stack of no cells returns no traces at once, without stepping."""
     spec, calls = NoisyQuadratic(dim=2, variance=1.0), []
-    monkeypatch.setattr(spec, "grad_many", lambda X: calls.append(len(X)) or X)
+    monkeypatch.setattr(type(spec), "grad", lambda obj, x: calls.append(len(x)) or x)
     assert simulate(spec, CONFIGS[0], [], max_steps=100_000) == []
     assert calls == []
 
@@ -506,7 +516,8 @@ class TestColumnarTrace:
         bare = run(self.spec, self.cfg, max_steps=5, rng=RngStream(1),
                    trace_options=TraceOptions(record_x=False, record_f=False))
         assert bare.x_snapshot is None and bare.dist_to_ref is None
-        assert np.isnan(bare.f_value).all()
+        assert bare.f_value is None and bare.records[0].f_value is None
+        assert bare.records[0].as_dict()["f_value"] is None
         assert bare.records[0].x_snapshot is None
         with pytest.raises(ValueError, match="x snapshots"):
             bare.xs()

@@ -1,6 +1,7 @@
 """Objective oracles: exact values, unbiased noise, minibatch scaling."""
 
 import random
+import re
 import sys
 import threading
 
@@ -15,6 +16,18 @@ from noise_lab.problems import (
     SineBowl,
     make_objective,
 )
+
+
+def one_of_each_kind():
+    """One objective of each kind, the finite sum twice: its second copy
+    (n * dim = 40,000) holds 3 rows in a block of residuals, so a stack of 10
+    rows spans 4 blocks."""
+    rng = np.random.default_rng(0)
+    return [NoisyQuadratic(dim=3, curvature=[1.0, 2.0, 0.5]),
+            ConstantGradient(dim=3, coefficient=[1.0, -1.0, 2.0]),
+            SineBowl(dim=3, amplitude=0.7, frequency=2.0),
+            FiniteSumLeastSquares(rng.standard_normal((5, 3)), rng.standard_normal(5)),
+            FiniteSumLeastSquares(rng.standard_normal((5000, 8)), rng.standard_normal(5000))]
 
 
 def two_sample_finite_sum():
@@ -181,15 +194,14 @@ class TestEvalF:
         with pytest.raises(ValueError):
             q.value([1.0, 2.0, 3.0])
 
-    def test_value_many_matches_loop(self):
-        rng = np.random.default_rng(0)
-        for spec in (NoisyQuadratic(dim=3, curvature=[1.0, 2.0, 0.5]),
-                     ConstantGradient(dim=3, coefficient=[1.0, -1.0, 2.0]),
-                     SineBowl(dim=3, amplitude=0.7, frequency=2.0),
-                     FiniteSumLeastSquares(rng.standard_normal((5, 3)),
-                                           rng.standard_normal(5))):
-            X = rng.standard_normal((6, 3))
-            assert spec.value_many(X).tolist() == [spec.value(row) for row in X]
+    def test_a_point_value_is_its_row_of_a_stack(self):
+        for spec in one_of_each_kind():
+            X = np.random.default_rng(1).standard_normal((10, spec.dim))
+            values = spec.value(X)
+            assert values.shape == (10,)
+            for x, v in zip(X, values):
+                assert isinstance(spec.value(x), float)
+                assert spec.value(x) == v
 
 
 class TestEvalGrad:
@@ -213,12 +225,24 @@ class TestEvalGrad:
         avg = fs.per_sample_grads(x).mean(axis=0)
         np.testing.assert_allclose(avg, fs.grad(x), rtol=1e-12)
 
-    def test_grad_many_matches_loop(self):
-        rng = np.random.default_rng(1)
-        spec = SineBowl(dim=2, amplitude=0.5, frequency=3.0)
-        X = rng.standard_normal((7, 2))
-        np.testing.assert_allclose(spec.grad_many(X),
-                                   np.stack([spec.grad(r) for r in X]), rtol=1e-12)
+    def test_a_point_gradient_is_its_row_of_a_stack(self):
+        for spec in one_of_each_kind():
+            X = np.random.default_rng(1).standard_normal((10, spec.dim))
+            G = spec.grad(X)
+            assert G.shape == X.shape
+            for x, g in zip(X, G):
+                assert np.array_equal(spec.grad(x), g)
+            if isinstance(spec, FiniteSumLeastSquares):
+                np.testing.assert_allclose(G, [spec.per_sample_grads(x).mean(axis=0) for x in X],
+                                           rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("oracle", ["value", "grad"])
+    def test_other_shapes_raise(self, oracle):
+        for spec in one_of_each_kind():
+            d = spec.dim
+            for shape in [(d + 1,), (4, d + 1), (2, 4, d), (), (d, 1)]:
+                with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+                    getattr(spec, oracle)(np.zeros(shape))
 
     def test_sine_bowl_gradient_finite_difference(self):
         spec = SineBowl(dim=3, amplitude=0.8, frequency=2.5)
@@ -355,7 +379,7 @@ class TestKnownConstants:
         bound = q.lipschitz_on_box(2.0)
         gen = np.random.default_rng(12)
         X = gen.uniform(-2.0, 2.0, size=(200, 3))
-        assert np.all(np.linalg.norm(q.grad_many(X), axis=1) <= bound + 1e-12)
+        assert np.all(np.linalg.norm(q.grad(X), axis=1) <= bound + 1e-12)
 
 
 class TestMakeObjective:

@@ -237,8 +237,8 @@ class TestMeanUpdateIdentity:
     def test_burn_in_leaves_the_exact_gradients_to_the_draw(self, monkeypatch, kind):
         """The burn-in draws without the exact gradients, which the draw takes
         only where its kind reads them: the report is that of a burn-in that
-        passes grad_many(X) at every step, and a finite sum's gradient runs
-        only at the last step (one per replica) and at x_start."""
+        passes grad(X) at every step, and a finite sum's gradient runs only
+        twice: once on the stack of replicas at the last step, once at x_start."""
         gen = np.random.default_rng(5)
         spec = self.spec if kind == "constant-gradient" else FiniteSumLeastSquares(
             gen.standard_normal((50, 2)), gen.standard_normal(50))
@@ -249,11 +249,11 @@ class TestMeanUpdateIdentity:
         monkeypatch.setattr(type(spec), "grad", lambda obj, x: calls.append(1) or grad(obj, x))
         got = gd_vs_nshb_expectation(spec, **args)
         if kind == "finite-sum-least-squares":
-            assert len(calls) == args["replicas"] + 1
+            assert len(calls) == 2
 
         draw = spec.minibatch_grad_ensemble
         monkeypatch.setattr(spec, "minibatch_grad_ensemble",
-                            lambda X, b, gens, G=None: draw(X, b, gens, spec.grad_many(X)))
+                            lambda X, b, gens, G=None: draw(X, b, gens, spec.grad(X)))
         assert got == gd_vs_nshb_expectation(spec, **args)
 
 
@@ -313,7 +313,7 @@ class TestAdaptiveSharpness:
         spec = SharpnessSpec(rho=0.8, c=c, p=2, method="random-search", iters=64)
         value = adaptive_sharpness(q, w, spec, RngStream(6))
         deltas = 0.8 * c * draw_directions("ball-uniform", 3, 64, RngStream(6).generator())
-        assert value == max(0.0, float(np.max(q.value_many(w + deltas) - q.value(w))))
+        assert value == max(0.0, float(np.max(q.value(w + deltas) - q.value(w))))
 
     def test_non_finite_value_is_kept(self):
         """At rho = 1e200 the quadratic's values overflow: the NaN they leave is
