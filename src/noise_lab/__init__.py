@@ -15,7 +15,7 @@ _EXPORTS = {"analysis": "BoundComponents BoundReport CheckResult VerifySettings 
             "run_verify_suite stationarity_check thm_rhs",
             "noise": "NoiseReport NoiseSummary TailStats default_burn_in gradient_noise_samples "
             "minibatch_deviation_sq_samples search_direction_noise tail_stats",
-            "optimizers": "OptimizerConfig OptimizerState Trace TraceOptions TraceRecord "
+            "optimizers": "OptimizerConfig OptimizerState Trace TraceRecord "
             "map_shb_to_nshb nshb_step run sgd_step shb_step simulate",
             "problems": "ConstantGradient FiniteSumLeastSquares KnownConstants NoisyQuadratic "
             "Objective RngStream SineBowl make_objective",

@@ -27,7 +27,7 @@ import numpy as np
 from . import smoothing as _smoothing
 from . import sweep as _sweep
 from .noise import default_burn_in, minibatch_deviation_sq_samples, search_direction_noise
-from .optimizers import OptimizerConfig, Trace, TraceOptions, run, simulate
+from .optimizers import OptimizerConfig, Trace, run, simulate
 from .problems import ConstantGradient, NoisyQuadratic, Objective, RngStream, rowdot
 
 
@@ -124,8 +124,7 @@ def ensemble(spec: Objective, config: OptimizerConfig, x0, steps: int, seeds: in
              rng: RngStream) -> list:
     """Independent-seed traces of equal length with x snapshots, in seed
     order; seed s runs on rng.child(s), all seeds in one lockstep stack."""
-    return simulate(spec, config, [rng.child(s) for s in range(seeds)], x0=x0, max_steps=steps,
-                    trace_options=TraceOptions(record=True, record_x=True, record_f=False))
+    return simulate(spec, config, [rng.child(s) for s in range(seeds)], x0=x0, max_steps=steps)
 
 
 @dataclass(frozen=True)
@@ -271,9 +270,7 @@ def run_verify_suite(settings: Optional[VerifySettings] = None) -> list:
     # stationary momentum trace on the constant-gradient problem
     const = ConstantGradient(dim=2, variance=1.0, coefficient=[1.0, 1.0])
     nshb = OptimizerConfig(algo="nshb", eta=0.05, beta=0.9, batch_size=1)
-    trace = run(const, nshb, x0=np.zeros(2), max_steps=s.noise_steps,
-                rng=rng.child("noise-trace"),
-                trace_options=TraceOptions(record=True, record_x=False, record_f=False))
+    trace = run(const, nshb, x0=np.zeros(2), max_steps=s.noise_steps, rng=rng.child("noise-trace"))
     report = search_direction_noise(trace, const)
 
     a2 = minibatch_second_moment_check(trace)
@@ -318,7 +315,6 @@ def run_verify_suite(settings: Optional[VerifySettings] = None) -> list:
     shared = rng.child("equiv")
     shb_cfg = OptimizerConfig(algo="shb", gamma=0.05, beta_bar=0.9, batch_size=4)
     eta_eq, beta_eq = shb_cfg.effective_eta_beta()
-    options = TraceOptions(record=True, record_f=False)
     for check, tol, notes, *configs in (
             ("shb-nshb-reparameterization", 1e-10,
              "max per-coordinate relative divergence over 1000 shared-noise steps",
@@ -326,8 +322,8 @@ def run_verify_suite(settings: Optional[VerifySettings] = None) -> list:
             ("zero-momentum-reduces-to-sgd", 1e-12, "",
              OptimizerConfig(algo="nshb", eta=0.1, beta=0.0, batch_size=4),
              OptimizerConfig(algo="sgd", eta=0.1, batch_size=4))):
-        rel = _max_rel_divergence(*(run(quad, c, x0=x0, max_steps=1000, rng=shared,
-                                        trace_options=options).xs() for c in configs))
+        rel = _max_rel_divergence(*(run(quad, c, x0=x0, max_steps=1000, rng=shared).xs()
+                                    for c in configs))
         results.append(CheckResult(check, rel, tol, rel <= tol, True, notes))
 
     # stationarity certificates agree

@@ -6,7 +6,8 @@ without one); a few flags override their config-block counterparts.
 Every subcommand but table1 takes its inputs from _inputs, which checks
 the config, the flags, the point dims, the seed and --out before anything
 runs. Exit status: 0 on success, 1 when an asserted verification check
-fails, 2 on configuration errors.
+fails, 2 on configuration errors (a step budget too large to allocate is
+one).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 from . import sweep as sweep_mod
 from .config import (POINT, SCHEMA, ConfigError, _checked, build_objective, build_optimizer,
                      load_config, read_json, resolve_seed, validate_config)
-from .optimizers import TraceOptions, run as run_optimizer
-from .problems import RNG_CONTRACT, RngStream
+from .optimizers import run as run_optimizer
+from .problems import RNG_CONTRACT, RngStream, rowdot
 from .reporting import dump_json, emit_csv, emit_jsonl, json_number
 
 DEFAULT_BATCH_GRID = [2 ** k for k in range(3, 14)]
@@ -119,12 +120,15 @@ def cmd_run(args) -> int:
     spec, block, seed, resolved, out = _inputs(args, "run", max_steps=1000, record_x=True)
     opt = build_optimizer(resolved)
     stop = sweep_mod.StopRule(epsilon=block["epsilon"]) if "epsilon" in block else None
-    trace = run_optimizer(
-        spec, opt, x0=block.get("x0"), stop=stop, max_steps=block["max_steps"],
-        rng=RngStream(seed),
-        trace_options=TraceOptions(record=True, record_x=block["record_x"],
-                                   reference_point=block.get("reference_point")),
-    )
+    trace = run_optimizer(spec, opt, x0=block.get("x0"), stop=stop,
+                          max_steps=block["max_steps"], rng=RngStream(seed))
+    # f and the distance each in one stacked call: a row has the bits of its point alone
+    trace.f_value = spec.value(trace.x_snapshot)
+    if "reference_point" in block:
+        d = trace.x_snapshot - np.asarray(block["reference_point"], dtype=float)
+        trace.dist_to_ref = np.sqrt(rowdot(d, d))
+    if not block["record_x"]:
+        trace.x_snapshot = None
     path = emit_jsonl((r.as_dict() for r in trace.records), out / "run.jsonl")
     print(f"wrote {path} ({trace.steps} records, exit {trace.exit_reason})")
     return 0
@@ -156,6 +160,8 @@ def cmd_sweep(args) -> int:
         spec, opt, block["batch_grid"], block["seeds"], stop, block["max_steps"],
         x0=block.get("x0"), master_seed=seed,
     )
+    # before anything is written: a reference trace that cannot be allocated leaves no --out
+    critical = _critical_report(spec, opt, stop, block, summary, seed)
 
     p1 = emit_csv([dict(asdict(r), steps=r.steps_T) for r in summary.rows], out / "sweep.csv",
                   ["b", "seed", "steps", "sfo", "exit_reason"])
@@ -163,8 +169,6 @@ def cmd_sweep(args) -> int:
     p2 = emit_csv([asdict(s) for s in summary.per_batch], out / "summary.csv",
                   ["b", "mean_steps", "mean_sfo", "converged_fraction"])
     print(f"wrote {p2} ({len(summary.per_batch)} batch sizes)")
-
-    critical = _critical_report(spec, opt, stop, block, summary, seed)
     p3 = _dump_report(critical, out / "critical.json", resolved)
     print(f"wrote {p3} (empirical b* = {critical['empirical_b_star']})")
     return 0
@@ -203,12 +207,9 @@ def _critical_report(spec, opt, stop, block, summary, seed) -> dict:
         return report
 
     ref_config = replace(opt, batch_size=int(block["batch_grid"][0]))
-    ref_trace = run_optimizer(
-        spec, ref_config, x0=block.get("x0"), stop=stop,
-        max_steps=int(block["max_steps"]),
-        rng=RngStream(seed).child("reference"),
-        trace_options=TraceOptions(record=True, record_x=True, record_f=False),
-    )
+    ref_trace = run_optimizer(spec, ref_config, x0=block.get("x0"), stop=stop,
+                              max_steps=int(block["max_steps"]),
+                              rng=RngStream(seed).child("reference"))
     try:
         params = sweep_mod.xyz_from_setup(spec, opt, x_ref, trace=ref_trace,
                                           epsilon=stop.epsilon,
@@ -234,11 +235,8 @@ def cmd_noise(args) -> int:
         raise ConfigError(f"{block['steps']} steps leave nothing after a burn-in of {burn_in}",
                           "$.noise.steps")
 
-    trace = run_optimizer(
-        spec, opt, x0=block.get("x0"), max_steps=block["steps"],
-        rng=RngStream(seed),
-        trace_options=TraceOptions(record=True, record_x=False, record_f=False),
-    )
+    trace = run_optimizer(spec, opt, x0=block.get("x0"), max_steps=block["steps"],
+                          rng=RngStream(seed))
     if trace.exit_reason == "diverged":     # its noise would cancel against huge gradients
         early = f", before its burn-in of {burn_in} steps ended" if trace.steps <= burn_in else ""
         raise ConfigError(f"the run diverged at step {trace.steps}{early}", "$.optimizer")
@@ -422,6 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the key that sets each recording subcommand's step budget: a recorded trace
+# allocates its columns for every step the budget allows before the first one
+BUDGET_KEYS = {"run": "$.run.max_steps", "sweep": "$.sweep.max_steps",
+               "noise": "$.noise.steps", "verify": "$.verify"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -431,8 +435,14 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             return args.handler(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        error = exc
+    except MemoryError as exc:
+        if args.command not in BUDGET_KEYS:
+            raise
+        error = ConfigError(f"the step budget does not fit in memory ({exc})",
+                            BUDGET_KEYS[args.command])
+    print(f"config error: {error}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import CellDraws, Objective, RngStream, rowdot
+from .problems import CellDraws, Objective, RngStream
 from .reporting import json_number, json_numbers
 
 ALGOS = ("sgd", "nshb", "shb")
@@ -161,19 +161,14 @@ class TraceRecord:
         return out
 
 
-@dataclass(frozen=True)
-class TraceOptions:
-    record: bool = True
-    record_x: bool = True
-    record_f: bool = True
-    reference_point: Optional[np.ndarray] = None
-
-
 @dataclass
 class Trace:
     """One cell's run as a struct of arrays: each TraceRecord field but t is
     a column that holds one row per recorded step (vectors as [steps, dim]),
-    or is None when it was not recorded."""
+    or is None when it was not recorded. A recorded run fills the four
+    columns a step makes (grad, search_direction, minibatch_grad and
+    x_snapshot); f_value and dist_to_ref are left to the caller, which can
+    derive them from x_snapshot in one stacked call."""
 
     exit_reason: str          # "converged" | "step-cap" | "diverged"
     steps: int
@@ -202,10 +197,10 @@ class Trace:
 
 
 def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStream],
-             x0=None, stop=None, max_steps: int = 1000,
-             trace_options: Optional[TraceOptions] = None) -> list:
+             x0=None, stop=None, max_steps: int = 1000, record: bool = True) -> list:
     """Advance one cell per stream in lockstep on (R, dim) arrays, all from
-    x0; returns one Trace per stream, in order.
+    x0; returns one Trace per stream, in order, each with its step columns
+    when record is true (their max_steps rows are allocated up front).
 
     Each cell runs as if alone: every step draws from the one generator
     streams[r].generator() built before its first step, the update cores
@@ -215,24 +210,14 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
     True to end it (see sweep.StopRule)."""
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    opts = trace_options or TraceOptions()
     x = np.asarray(x0, dtype=float).copy() if x0 is not None else spec.default_start()
     if x.shape != (spec.dim,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({spec.dim},)")
     cells = len(streams)
     state = OptimizerState.initial(np.tile(x, (cells, 1)))
     accs = [stop.start() for _ in streams] if stop is not None else None
-    ref = None if opts.reference_point is None else np.asarray(opts.reference_point, dtype=float)
-
-    cols = {}
-    if opts.record:
-        names = ["grad", "search_direction", "minibatch_grad"]
-        names += ["x_snapshot"] if opts.record_x else []
-        cols.update((n, np.empty((cells, max_steps, spec.dim))) for n in names)
-        if opts.record_f:
-            cols["f_value"] = np.empty((cells, max_steps))
-        if ref is not None:
-            cols["dist_to_ref"] = np.empty((cells, max_steps))
+    names = ("grad", "search_direction", "minibatch_grad", "x_snapshot") if record else ()
+    cols = {n: np.empty((cells, max_steps, spec.dim)) for n in names}
 
     # per-step constants, looked up once per call
     update, update_args, momentum = {              # momentum: the update follows the buffer
@@ -240,7 +225,6 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
         "nshb": (_nshb, (config.eta, config.beta), True),
         "shb": (_shb, (config.gamma, config.beta_bar), True)}[config.algo]
     b, grad, draw = config.batch_size, spec.grad, spec.minibatch_grad_ensemble
-    record, record_x, record_f = opts.record, opts.record_x, opts.record_f
     live = np.arange(cells)               # cell id of each row of the stacked state
     draws = CellDraws([s.generator() for s in streams])
     steps = np.full(cells, max_steps)
@@ -267,13 +251,7 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
             cols["grad"][rows, t] = g
             cols["search_direction"][rows, t] = direction
             cols["minibatch_grad"][rows, t] = gb
-            if record_x:
-                cols["x_snapshot"][rows, t] = x_t
-            if record_f:
-                cols["f_value"][rows, t] = spec.value(x_t)
-            if ref is not None:
-                d = x_t - ref
-                cols["dist_to_ref"][rows, t] = np.sqrt(rowdot(d, d))
+            cols["x_snapshot"][rows, t] = x_t
 
         if in_range:
             if accs is None:
@@ -304,7 +282,7 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
 
 
 def run(spec: Objective, config: OptimizerConfig, x0=None, stop=None, max_steps: int = 1000,
-        *, rng: RngStream, trace_options: Optional[TraceOptions] = None) -> Trace:
+        *, rng: RngStream, record: bool = True) -> Trace:
     """Drive the configured algorithm against the objective's minibatch
     oracle until the stop rule fires, the step cap is reached, or the
     iterate diverges: the one-cell case of `simulate`.
@@ -312,5 +290,4 @@ def run(spec: Objective, config: OptimizerConfig, x0=None, stop=None, max_steps:
     Every minibatch comes from one generator, rng.generator(), step after
     step, so runs sharing an RngStream share noise draw-for-draw.
     """
-    return simulate(spec, config, [rng], x0=x0, stop=stop, max_steps=max_steps,
-                    trace_options=trace_options)[0]
+    return simulate(spec, config, [rng], x0=x0, stop=stop, max_steps=max_steps, record=record)[0]

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .optimizers import OptimizerConfig, Trace, TraceOptions, run, simulate
+from .optimizers import OptimizerConfig, Trace, run, simulate
 from .problems import Objective, RngStream, rowdot
 
 STOP_KINDS = ("cumulative-grad-norm", "inner-product")
@@ -138,8 +138,7 @@ def steps_to_epsilon(spec: Objective, config: OptimizerConfig, stop: StopRule,
     of run_sweep equals this cell on master.child(b, seed), bit for bit."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    trace = run(spec, config, x0=x0, stop=stop, max_steps=cap, rng=rng,
-                trace_options=TraceOptions(record=False))
+    trace = run(spec, config, x0=x0, stop=stop, max_steps=cap, rng=rng, record=False)
     return _row(config.batch_size, seed, trace)
 
 
@@ -182,7 +181,7 @@ def run_sweep(spec: Objective, config_template: OptimizerConfig,
     for b in grid:
         traces = simulate(spec, replace(config_template, batch_size=b),
                           [master.child(b, s) for s in seed_ids], x0=x0, stop=stop,
-                          max_steps=cap, trace_options=TraceOptions(record=False))
+                          max_steps=cap, record=False)
         batch_rows = [_row(b, s, trace) for s, trace in zip(seed_ids, traces)]
         rows += batch_rows
         per_batch.append(BatchStats(

@@ -76,14 +76,13 @@ def test_criterion_04_algorithm_equivalences(capsys):
     steps, for (gamma, bb) in {0.1, 0.01} x {0.5, 0.9}."""
     spec = nl.NoisyQuadratic(dim=2, variance=4.0)
     x0 = np.array([2.0, -1.0])
-    opts = nl.TraceOptions(record_x=True, record_f=False)
     ok = True
 
     shared = nl.RngStream(401)
     sgd = nl.run(spec, nl.OptimizerConfig(algo="sgd", eta=0.1, batch_size=4),
-                 x0=x0, max_steps=1000, rng=shared, trace_options=opts)
+                 x0=x0, max_steps=1000, rng=shared)
     nshb0 = nl.run(spec, nl.OptimizerConfig(algo="nshb", eta=0.1, beta=0.0, batch_size=4),
-                   x0=x0, max_steps=1000, rng=shared, trace_options=opts)
+                   x0=x0, max_steps=1000, rng=shared)
     ok &= max_rel_divergence(sgd.xs(), nshb0.xs()) <= 1e-10
 
     for gamma in (0.1, 0.01):
@@ -92,10 +91,10 @@ def test_criterion_04_algorithm_equivalences(capsys):
             eta, beta = nl.map_shb_to_nshb(gamma, beta_bar)
             shb = nl.run(spec, nl.OptimizerConfig(algo="shb", gamma=gamma,
                                                   beta_bar=beta_bar, batch_size=4),
-                         x0=x0, max_steps=1000, rng=stream, trace_options=opts)
+                         x0=x0, max_steps=1000, rng=stream)
             nshb = nl.run(spec, nl.OptimizerConfig(algo="nshb", eta=eta, beta=beta,
                                                    batch_size=4),
-                          x0=x0, max_steps=1000, rng=stream, trace_options=opts)
+                          x0=x0, max_steps=1000, rng=stream)
             ok &= max_rel_divergence(shb.xs(), nshb.xs()) <= 1e-10
     report(capsys, 4, "shared-noise equivalences within 1e-10 over 1e3 steps", ok)
 
@@ -220,8 +219,7 @@ def test_criterion_11_direction_noise_diagnostics(capsys):
     cfg = nl.OptimizerConfig(algo="nshb", eta=0.05, beta=beta, batch_size=1)
     burn = nl.default_burn_in(beta)
     trace = nl.run(spec, cfg, x0=np.zeros(2), max_steps=burn + 10_000,
-                   rng=nl.RngStream(1101),
-                   trace_options=nl.TraceOptions(record_x=False, record_f=False))
+                   rng=nl.RngStream(1101))
     s = nl.search_direction_noise(trace, spec).summary
     stationary = (1 - beta) / (1 + beta)          # 0.052631...
     ok = abs(s.mean_omega_sq - stationary) <= 0.10 * stationary

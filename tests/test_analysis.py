@@ -16,7 +16,7 @@ from noise_lab.analysis import (
     stationarity_check,
     thm_rhs,
 )
-from noise_lab.optimizers import OptimizerConfig, TraceOptions, run
+from noise_lab.optimizers import OptimizerConfig, run
 from noise_lab.problems import ConstantGradient, NoisyQuadratic, RngStream, SineBowl
 
 
@@ -163,9 +163,8 @@ class TestStationarityCheck:
     def test_sine_bowl_local_minimizer_from_descent(self):
         spec = SineBowl(dim=2, variance=0.0, amplitude=0.3, frequency=2.0)
         cfg = OptimizerConfig(algo="sgd", eta=0.1, batch_size=1)
-        trace = run(spec, cfg, x0=np.array([1.5, -1.0]), max_steps=2_000,
-                    rng=RngStream(2),
-                    trace_options=TraceOptions(record=False))
+        trace = run(spec, cfg, x0=np.array([1.5, -1.0]), max_steps=2_000, rng=RngStream(2),
+                    record=False)
         out = stationarity_check(spec, trace.x_final, 64, RngStream(3), grad_tol=1e-6)
         assert out["grad_norm"] < 1e-6
         assert out["consistent"]
@@ -175,8 +174,7 @@ class TestTraceBudgetChecks:
     def make_trace(self):
         spec = ConstantGradient(dim=2, variance=1.0, coefficient=[1.0, 1.0])
         cfg = OptimizerConfig(algo="nshb", eta=0.05, beta=0.9, batch_size=1)
-        trace = run(spec, cfg, x0=np.zeros(2), max_steps=1500, rng=RngStream(21),
-                    trace_options=TraceOptions(record_x=False, record_f=False))
+        trace = run(spec, cfg, x0=np.zeros(2), max_steps=1500, rng=RngStream(21))
         return trace
 
     def test_minibatch_second_moment_within_budget(self):
@@ -197,8 +195,7 @@ class TestTraceBudgetChecks:
         from noise_lab.analysis import buffer_second_moment_check
         spec = NoisyQuadratic(dim=2, variance=1.0)
         cfg = OptimizerConfig(algo="sgd", eta=0.1, batch_size=1)
-        trace = run(spec, cfg, x0=np.ones(2), max_steps=20, rng=RngStream(0),
-                    trace_options=TraceOptions(record_x=False, record_f=False))
+        trace = run(spec, cfg, x0=np.ones(2), max_steps=20, rng=RngStream(0))
         with pytest.raises(ValueError):
             buffer_second_moment_check(trace)
 

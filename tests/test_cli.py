@@ -13,6 +13,7 @@ import pytest
 from noise_lab import analysis, cli, smoothing, sweep as sweep_mod
 from noise_lab.cli import fixture_table_text, main
 from noise_lab.config import POINT, SCHEMA, ConfigError, build_objective, validate_config
+from noise_lab.problems import _CHUNK_SCALARS, rowdot
 from noise_lab.reporting import dump_json, emit_csv, emit_jsonl, json_number, json_numbers
 
 DATA = Path(__file__).parent / "data"
@@ -306,6 +307,19 @@ BAD_INPUTS = {
                                    "params": {"x0": [-5e-301], "coefficient": 5e159}},
                        "smooth": {"samples": 100, "delta": 5e-101, "box_radius": 3e10}},
         None, "$.smooth.lipschitz: the Lipschitz constant is inf"),
+    # a recorded trace allocates its columns for the whole budget: at 10^15 dim-2 steps a
+    # column is 14 PiB, past any 47-bit address space, so the allocation fails at once
+    "run-max-steps-past-memory": ("run", [], {"run": {"max_steps": 10 ** 15}}, None,
+                                  "$.run.max_steps: the step budget does not fit in memory"),
+    "noise-steps-past-memory": ("noise", [], {"noise": {"steps": 10 ** 15}}, None,
+                                "$.noise.steps: the step budget does not fit in memory"),
+    # the cells converge unrecorded; the critical report's recorded reference trace fails
+    "sweep-max-steps-past-memory": (
+        "sweep", [], {"sweep": dict(SWEEP_CFG["sweep"], max_steps=10 ** 15)}, None,
+        "$.sweep.max_steps: the step budget does not fit in memory"),
+    "verify-ensemble-steps-past-memory": (
+        "verify", [], {"verify": dict(SMALL_VERIFY["verify"], ensemble_steps=10 ** 15)}, None,
+        "$.verify: the step budget does not fit in memory"),
 }
 
 
@@ -668,6 +682,35 @@ class TestRunSubcommand:
         assert set(record) == {"t", "f_value", "grad", "search_direction",
                                "minibatch_grad", "x_snapshot", "dist_to_ref"}
 
+    @pytest.mark.parametrize("problem", [
+        {"kind": "noisy-quadratic", "dim": 8, "variance": 2.0,
+         "params": {"curvature": [0.5, 1.0, 1.5, 2.0, 0.25, 3.0, 1.0, 0.75]}},
+        {"kind": "constant-gradient", "dim": 8, "variance": 1.0,
+         "params": {"coefficient": [1.0, -2.0, 0.5, 0.0, 3.0, -1.0, 0.25, 2.0]}},
+        {"kind": "finite-sum-least-squares",
+         "params": {"data": np.random.default_rng(5).standard_normal((1000, 8)).tolist(),
+                    "targets": np.random.default_rng(6).standard_normal(1000).tolist()}},
+        {"kind": "nonconvex-sine-bowl", "dim": 8, "variance": 1.5},
+    ], ids=lambda problem: problem["kind"])
+    def test_derived_columns_equal_each_point_alone(self, tmp_path, capsys, problem):
+        """f_value and dist_to_ref, each derived from the whole trace in one
+        stacked call, equal the value and the distance of each x_t alone, bit
+        for bit. The finite sum's 60 steps span several blocks of its residuals."""
+        ref = np.linspace(-1.0, 1.0, 8)
+        cfg = {"master_seed": 3, "problem": problem,
+               "optimizer": {"algo": "nshb", "eta": 0.01, "beta": 0.5, "batch_size": 2},
+               "run": {"max_steps": 60, "reference_point": ref.tolist()}}
+        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]) == 0
+        spec = build_objective(cfg)
+        if problem["kind"] == "finite-sum-least-squares":
+            assert 60 > 2 * (_CHUNK_SCALARS // (spec.n * spec.dim))
+        records = [json.loads(line) for line in (tmp_path / "run.jsonl").read_text().splitlines()]
+        assert len(records) == 60
+        for record in records:
+            x = np.array(record["x_snapshot"])
+            assert record["f_value"] == spec.value(x)
+            assert record["dist_to_ref"] == np.sqrt(rowdot(x - ref, x - ref))
+
     def test_epsilon_stop(self, tmp_path, capsys):
         cfg = dict(SWEEP_CFG)
         cfg["run"] = {"max_steps": 500, "epsilon": 0.5}
@@ -841,7 +884,7 @@ PACKAGE_NAMES = [
     "MeanUpdateReport", "NoiseReport", "NoiseSummary", "NoisyQuadratic", "Objective",
     "OptimizerConfig", "OptimizerState", "RngStream", "SharpnessSpec", "SineBowl",
     "SmoothedValue", "SmoothingSpec", "StopRule", "SweepRow", "SweepSummary", "TailStats",
-    "Trace", "TraceOptions", "TraceRecord", "VerifySettings", "adaptive_sharpness", "analysis",
+    "Trace", "TraceRecord", "VerifySettings", "adaptive_sharpness", "analysis",
     "analytic_T", "analytic_critical_batch", "analytic_sfo", "convergence_bound_report",
     "default_burn_in", "degree_of_smoothing", "draw_directions", "empirical_critical_batch",
     "ensemble", "gd_vs_nshb_expectation", "gradient_noise_samples", "lhs_inner_product",

@@ -11,14 +11,16 @@ import pytest
 
 from noise_lab import problems
 from noise_lab.noise import minibatch_deviation_sq_samples
-from noise_lab.optimizers import (DIVERGENCE_LIMIT, OptimizerConfig, OptimizerState,
-                                  TraceOptions, nshb_step, run, sgd_step, shb_step, simulate)
+from noise_lab.optimizers import (DIVERGENCE_LIMIT, OptimizerConfig, OptimizerState, nshb_step,
+                                  run, sgd_step, shb_step, simulate)
 from noise_lab.problems import (CellDraws, ConstantGradient, FiniteSumLeastSquares,
                                 NoisyQuadratic, RngStream, SineBowl)
 from noise_lab.sweep import StopRule
 
 COLUMNS = ("f_value", "grad", "search_direction", "minibatch_grad", "x_snapshot",
            "dist_to_ref")
+# the columns a recorded step fills; the caller derives f_value and dist_to_ref
+STEP_COLUMNS = ("grad", "search_direction", "minibatch_grad", "x_snapshot")
 
 
 def objectives():
@@ -123,12 +125,9 @@ class TestParity:
     def test_ensemble_equals_per_seed_runs(self, spec, config):
         rng = RngStream(31).child("parity")
         x0 = spec.default_start() * 0.5
-        opts = TraceOptions(record=True, record_x=True, record_f=True)
-        traces = simulate(spec, config, [rng.child(s) for s in range(5)], x0=x0,
-                          max_steps=40, trace_options=opts)
+        traces = simulate(spec, config, [rng.child(s) for s in range(5)], x0=x0, max_steps=40)
         for seed, trace in enumerate(traces):
-            alone = run(spec, config, x0=x0, max_steps=40, rng=rng.child(seed),
-                        trace_options=opts)
+            alone = run(spec, config, x0=x0, max_steps=40, rng=rng.child(seed))
             assert_same_trace(trace, alone)
 
     def test_run_equals_the_written_out_step_loop(self, spec, config):
@@ -137,9 +136,10 @@ class TestParity:
         ref = reference_run(spec, config, x0, 60, RngStream(4))
         assert trace.exit_reason == ref["exit_reason"]
         assert trace.steps == ref["steps"]
-        for name in ("x_final", "x_snapshot", "grad", "minibatch_grad",
-                     "search_direction", "f_value"):
+        for name in ("x_final", "x_snapshot", "grad", "minibatch_grad", "search_direction"):
             assert np.array_equal(getattr(trace, name), ref[name]), name
+        # f of the whole trace in one stacked call has the bits of f at each x_t alone
+        assert np.array_equal(spec.value(trace.x_snapshot), ref["f_value"])
 
     def test_grad_many_rows_equal_grad(self, spec, config):
         """The gradient and value of a stack of many rows equal, row by row, those
@@ -408,15 +408,12 @@ def test_cells_leave_the_stack_on_divergence_and_convergence(kind):
                         kind=kind, reference_point=np.zeros(1))
     streams = [RngStream(8).child(c) for c in range(10)]
     for cap in (200, 40):
-        opts = TraceOptions(record=True, record_x=True, reference_point=np.zeros(1))
-        traces = simulate(spec, config, streams, x0=x0, stop=stop, max_steps=cap,
-                          trace_options=opts)
+        traces = simulate(spec, config, streams, x0=x0, stop=stop, max_steps=cap)
         reasons = {t.exit_reason for t in traces}
         assert {"converged", "diverged"} <= reasons
         assert ("step-cap" in reasons) == (cap == 40)
         for stream, trace in zip(streams, traces):
-            alone = run(spec, config, x0=x0, stop=stop, max_steps=cap, rng=stream,
-                        trace_options=opts)
+            alone = run(spec, config, x0=x0, stop=stop, max_steps=cap, rng=stream)
             assert_same_trace(trace, alone)
             ref = reference_run(spec, config, x0, cap, stream, stop=stop)
             assert trace.exit_reason == ref["exit_reason"]
@@ -467,13 +464,11 @@ def test_each_cell_keeps_its_own_stop_accumulator(kind):
     x0 = np.array([2.0, -1.0])
     stop = StopRule(epsilon=0.6, kind=kind, reference_point=np.zeros(2))
     streams = [RngStream(3).child(c) for c in range(12)]
-    traces = simulate(spec, config, streams, x0=x0, stop=stop, max_steps=400,
-                      trace_options=TraceOptions(record=False))
+    traces = simulate(spec, config, streams, x0=x0, stop=stop, max_steps=400, record=False)
     converged = [t.steps for t in traces if t.exit_reason == "converged"]
     assert len(set(converged)) > 3          # cells leave the stack at different steps
     for stream, trace in zip(streams, traces):
-        alone = run(spec, config, x0=x0, stop=stop, max_steps=400, rng=stream,
-                    trace_options=TraceOptions(record=False))
+        alone = run(spec, config, x0=x0, stop=stop, max_steps=400, rng=stream, record=False)
         assert_same_trace(trace, alone)
 
 
@@ -483,8 +478,10 @@ class TestColumnarTrace:
         self.cfg = OptimizerConfig(algo="nshb", eta=0.1, beta=0.5, batch_size=2)
 
     def test_records_are_a_view_of_the_columns(self):
-        trace = run(self.spec, self.cfg, x0=np.array([2.0, -1.0]), max_steps=5,
-                    rng=RngStream(1), trace_options=TraceOptions(reference_point=np.zeros(2)))
+        trace = run(self.spec, self.cfg, x0=np.array([2.0, -1.0]), max_steps=5, rng=RngStream(1))
+        # the two derived columns, filled in after the run as `noise-lab run` fills them
+        trace.f_value = self.spec.value(trace.xs())
+        trace.dist_to_ref = np.sqrt(np.sum(trace.xs() ** 2, axis=1))
         recs = trace.records
         assert len(recs) == trace.steps == 5
         assert [r.t for r in recs] == list(range(5))
@@ -498,29 +495,31 @@ class TestColumnarTrace:
             assert rec.as_dict()["grad"] == [float(v) for v in trace.grad[t]]
 
     def test_records_reproduce_every_column(self):
-        trace = run(self.spec, self.cfg, x0=np.array([2.0, -1.0]), max_steps=7,
-                    rng=RngStream(2), trace_options=TraceOptions(reference_point=np.ones(2)))
+        trace = run(self.spec, self.cfg, x0=np.array([2.0, -1.0]), max_steps=7, rng=RngStream(2))
         recs = trace.records
         assert isinstance(recs, list) and len(recs) == trace.steps == 7
-        for name in COLUMNS:
+        for name in STEP_COLUMNS:
             assert np.array_equal(np.array([getattr(r, name) for r in recs]),
                                   getattr(trace, name)), name
-        quiet = run(self.spec, self.cfg, max_steps=7, rng=RngStream(2),
-                    trace_options=TraceOptions(record=False))
+        assert all(r.f_value is None and r.dist_to_ref is None for r in recs)
+        quiet = run(self.spec, self.cfg, max_steps=7, rng=RngStream(2), record=False)
         assert quiet.records == []
 
     def test_unrecorded_columns(self):
-        quiet = run(self.spec, self.cfg, max_steps=5, rng=RngStream(1),
-                    trace_options=TraceOptions(record=False))
+        """An unrecorded run has no column; a recorded one has the four a step
+        makes, and leaves f_value and dist_to_ref to its caller."""
+        quiet = run(self.spec, self.cfg, max_steps=5, rng=RngStream(1), record=False)
         assert len(quiet.records) == 0 and quiet.steps == 5
-        bare = run(self.spec, self.cfg, max_steps=5, rng=RngStream(1),
-                   trace_options=TraceOptions(record_x=False, record_f=False))
-        assert bare.x_snapshot is None and bare.dist_to_ref is None
-        assert bare.f_value is None and bare.records[0].f_value is None
-        assert bare.records[0].as_dict()["f_value"] is None
-        assert bare.records[0].x_snapshot is None
+        assert all(getattr(quiet, name) is None for name in COLUMNS)
         with pytest.raises(ValueError, match="x snapshots"):
-            bare.xs()
+            quiet.xs()
+        recorded = run(self.spec, self.cfg, max_steps=5, rng=RngStream(1))
+        for name in STEP_COLUMNS:
+            assert getattr(recorded, name).shape == (5, 2), name
+        assert recorded.f_value is None and recorded.dist_to_ref is None
+        assert recorded.records[0].f_value is None
+        assert recorded.records[0].as_dict()["f_value"] is None
+        assert recorded.records[0].as_dict()["dist_to_ref"] is None
 
 
 @pytest.mark.parametrize("tape_steps", [1, 7, 64])
@@ -535,9 +534,7 @@ def test_tapes_equal_the_written_out_step_loop(spec, tape_steps, monkeypatch):
     config, x0 = CONFIGS[1], spec.default_start() * 0.5
     stop = StopRule(epsilon=0.3 * float(np.linalg.norm(spec.grad(x0))))
     streams = [RngStream(15).child("tape", c) for c in range(6)]
-    opts = TraceOptions(record=True, record_x=True)
-    traces = simulate(spec, config, streams, x0=x0, stop=stop, max_steps=150,
-                      trace_options=opts)
+    traces = simulate(spec, config, streams, x0=x0, stop=stop, max_steps=150)
     for stream, trace in zip(streams, traces):
         ref = reference_run(spec, config, x0, 150, stream, stop=stop)
         assert (trace.exit_reason, trace.steps) == (ref["exit_reason"], ref["steps"])

@@ -13,15 +13,14 @@ from noise_lab.noise import (
     search_direction_noise,
     tail_stats,
 )
-from noise_lab.optimizers import OptimizerConfig, TraceOptions, run, simulate
+from noise_lab.optimizers import OptimizerConfig, run, simulate
 from noise_lab.problems import ConstantGradient, NoisyQuadratic, RngStream
 
 
 def stationary_trace(beta, steps, c_sq=1.0, eta=0.05, seed=7):
     spec = ConstantGradient(dim=2, variance=c_sq, coefficient=[1.0, 1.0])
     cfg = OptimizerConfig(algo="nshb", eta=eta, beta=beta, batch_size=1)
-    trace = run(spec, cfg, x0=np.zeros(2), max_steps=steps, rng=RngStream(seed),
-                trace_options=TraceOptions(record_x=False, record_f=False))
+    trace = run(spec, cfg, x0=np.zeros(2), max_steps=steps, rng=RngStream(seed))
     return spec, trace
 
 
@@ -54,8 +53,7 @@ def stationary_level(beta):
     cfg = OptimizerConfig(algo="nshb", eta=0.05, beta=beta, batch_size=1)
     streams = [RngStream(7).child(c) for c in range(cells_for_level(beta))]
     traces = simulate(spec, cfg, streams, x0=np.zeros(2),
-                      max_steps=default_burn_in(beta) + LEVEL_WINDOW,
-                      trace_options=TraceOptions(record_x=False, record_f=False))
+                      max_steps=default_burn_in(beta) + LEVEL_WINDOW)
     summaries = [search_direction_noise(t, spec).summary for t in traces]
     return (float(np.mean([s.mean_omega_sq for s in summaries])),
             all(s.direction_noise_bound_holds for s in summaries))
@@ -91,9 +89,7 @@ class TestSearchDirectionNoise:
         noise series agree record by record."""
         q = NoisyQuadratic(dim=2, variance=4.0)
         cfg = OptimizerConfig(algo="sgd", eta=0.05, batch_size=4)
-        trace = run(q, cfg, x0=np.array([1.0, 1.0]), max_steps=2_000,
-                    rng=RngStream(3),
-                    trace_options=TraceOptions(record_x=False, record_f=False))
+        trace = run(q, cfg, x0=np.array([1.0, 1.0]), max_steps=2_000, rng=RngStream(3))
         report = search_direction_noise(trace, q)
         np.testing.assert_array_equal(report.omega_sq, report.grad_noise_sq)
         np.testing.assert_allclose(report.summary.mean_omega_sq, 1.0, rtol=0.1)
@@ -150,8 +146,7 @@ class TestSearchDirectionNoise:
         beta_bar = 0.9
         spec = ConstantGradient(dim=2, variance=1.0, coefficient=[1.0, 1.0])
         cfg = OptimizerConfig(algo="shb", gamma=0.005, beta_bar=beta_bar, batch_size=1)
-        trace = run(spec, cfg, x0=np.zeros(2), max_steps=4_000, rng=RngStream(8),
-                    trace_options=TraceOptions(record_x=False, record_f=False))
+        trace = run(spec, cfg, x0=np.zeros(2), max_steps=4_000, rng=RngStream(8))
         report = search_direction_noise(trace, spec)
         offset_sq = (beta_bar / (1 - beta_bar)) ** 2 * 2.0   # ||c||^2 = 2
         assert report.summary.mean_omega_sq > 0.5 * offset_sq
@@ -172,8 +167,7 @@ class TestSearchDirectionNoise:
         early omega_t much larger than its stationary level."""
         spec = ConstantGradient(dim=2, variance=0.01, coefficient=[30.0, 0.0])
         cfg = OptimizerConfig(algo="nshb", eta=0.001, beta=0.9, batch_size=1)
-        trace = run(spec, cfg, x0=np.zeros(2), max_steps=3_000, rng=RngStream(5),
-                    trace_options=TraceOptions(record_x=False, record_f=False))
+        trace = run(spec, cfg, x0=np.zeros(2), max_steps=3_000, rng=RngStream(5))
         report = search_direction_noise(trace, spec)
         assert report.summary.early_bias_flagged is True
         assert report.summary.early_mean_omega_sq > report.summary.mean_omega_sq

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import noise_lab as nl
-from noise_lab.optimizers import TraceOptions, run
+from noise_lab.optimizers import run
 from noise_lab.problems import RngStream
 
 
@@ -85,7 +85,6 @@ class TestRunProperties:
     def test_reparameterization_round_trip_random_grid(self):
         gen = np.random.default_rng(103)
         spec = nl.NoisyQuadratic(dim=2, variance=1.0)
-        opts = TraceOptions(record_x=True, record_f=False)
         for trial in range(5):
             gamma = float(gen.uniform(0.005, 0.05))
             beta_bar = float(gen.uniform(0.0, 0.95))
@@ -94,12 +93,10 @@ class TestRunProperties:
             stream = RngStream(400).child(trial)
             shb = run(spec, nl.OptimizerConfig(algo="shb", gamma=gamma,
                                                beta_bar=beta_bar, batch_size=2),
-                      x0=np.array([1.0, -1.0]), max_steps=200, rng=stream,
-                      trace_options=opts)
+                      x0=np.array([1.0, -1.0]), max_steps=200, rng=stream)
             nshb = run(spec, nl.OptimizerConfig(algo="nshb", eta=eta, beta=beta,
                                                 batch_size=2),
-                       x0=np.array([1.0, -1.0]), max_steps=200, rng=stream,
-                       trace_options=opts)
+                       x0=np.array([1.0, -1.0]), max_steps=200, rng=stream)
             scale = np.maximum(np.abs(nshb.xs()), 1.0)
             assert np.max(np.abs(shb.xs() - nshb.xs()) / scale) < 1e-10
 

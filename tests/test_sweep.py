@@ -366,9 +366,8 @@ class TestXyzFromSetup:
         spec = NoisyQuadratic(dim=2, variance=1280.0)
         cfg = OptimizerConfig(algo="sgd", eta=0.1, batch_size=8)
         x0 = np.array([4.0, 2.0])            # ||x0||^2 = 20
-        from noise_lab.optimizers import TraceOptions, run
-        trace = run(spec, cfg, x0=x0, max_steps=5, rng=RngStream(0),
-                    trace_options=TraceOptions(record_x=True, record_f=False))
+        from noise_lab.optimizers import run
+        trace = run(spec, cfg, x0=x0, max_steps=5, rng=RngStream(0))
         # pin K^2 via an explicit constant-free route: quadratic has no known
         # K^2, so supply a trace and then overwrite with the documented value
         params = xyz_from_setup(spec, cfg, np.zeros(2), trace=trace, epsilon=0.5)
@@ -384,10 +383,8 @@ class TestXyzFromSetup:
         spec = NoisyQuadratic(dim=2, variance=1280.0)
         sgd = OptimizerConfig(algo="sgd", eta=0.1, batch_size=8)
         nshb = OptimizerConfig(algo="nshb", eta=0.1, beta=0.9, batch_size=8)
-        from noise_lab.optimizers import TraceOptions, run
-        trace = run(spec, nshb, x0=np.array([4.0, 2.0]), max_steps=5,
-                    rng=RngStream(1),
-                    trace_options=TraceOptions(record_x=True, record_f=False))
+        from noise_lab.optimizers import run
+        trace = run(spec, nshb, x0=np.array([4.0, 2.0]), max_steps=5, rng=RngStream(1))
         base = xyz_from_setup(spec, sgd, np.zeros(2), trace=trace, epsilon=0.5)
         with_mom = xyz_from_setup(spec, nshb, np.zeros(2), trace=trace, epsilon=0.5)
         d_hat = np.max(np.linalg.norm(trace.xs(), axis=1))
@@ -400,9 +397,8 @@ class TestXyzFromSetup:
         spec = NoisyQuadratic(dim=2, variance=4.0)
         sgd = OptimizerConfig(algo="sgd", eta=0.1, batch_size=2)
         nshb0 = OptimizerConfig(algo="nshb", eta=0.1, beta=0.0, batch_size=2)
-        from noise_lab.optimizers import TraceOptions, run
-        trace = run(spec, sgd, x0=np.array([1.0, 1.0]), max_steps=5, rng=RngStream(2),
-                    trace_options=TraceOptions(record_x=True, record_f=False))
+        from noise_lab.optimizers import run
+        trace = run(spec, sgd, x0=np.array([1.0, 1.0]), max_steps=5, rng=RngStream(2))
         a = xyz_from_setup(spec, sgd, np.zeros(2), trace=trace, epsilon=0.5)
         b = xyz_from_setup(spec, nshb0, np.zeros(2), trace=trace, epsilon=0.5)
         assert a.Z == b.Z and a.Y == b.Y and a.X == b.X
@@ -418,10 +414,8 @@ class TestXyzFromSetup:
         (eta, beta) = (gamma/(1-bb), bb) pair."""
         spec = NoisyQuadratic(dim=2, variance=4.0)
         shb = OptimizerConfig(algo="shb", gamma=0.02, beta_bar=0.8, batch_size=2)
-        from noise_lab.optimizers import TraceOptions, run
-        trace = run(spec, shb, x0=np.array([1.0, 1.0]), max_steps=50,
-                    rng=RngStream(6),
-                    trace_options=TraceOptions(record_x=True, record_f=False))
+        from noise_lab.optimizers import run
+        trace = run(spec, shb, x0=np.array([1.0, 1.0]), max_steps=50, rng=RngStream(6))
         params = xyz_from_setup(spec, shb, np.zeros(2), trace=trace, epsilon=0.5)
         eta_eq = 0.02 / (1 - 0.8)
         assert params.X == pytest.approx(2.0 / (2 * eta_eq))

@@ -9,10 +9,15 @@ exit status, keyed `<entry>/<artifact>`.
 
     python3 tools/golden.py                  # print {entry/artifact: sha256} as JSON
     python3 tools/golden.py --against REV    # compare with `git archive REV`'s tree
+    python3 tools/golden.py --write FILE     # pin the digests, with the versions they need
 
 `--against` runs the same table on the tree of REV, unpacked into a
 temporary directory, prints each artifact whose digest differs or that
 only one side wrote, and exits 1 on any difference (0 when none).
+`--write` records the digests in FILE together with the numpy and Python
+versions that made them: numpy promises no Generator stream across its
+versions, so the pin holds under the recorded numpy only
+(tests/data/golden.json is checked by tests/test_golden.py).
 Only the standard library and noise_lab's own CLI are used.
 """
 
@@ -20,9 +25,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.metadata
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tarfile
@@ -50,6 +57,10 @@ _FS_REF = [0.0] * 7
 _BOWL = {"problem": {"kind": "nonconvex-sine-bowl", "dim": 5, "variance": 1.0},
          "optimizer": {"algo": "nshb", "eta": 0.05, "beta": 0.9}}
 _BOWL_POINT = [0.1, -0.2, 0.3, 0.0, 0.5]
+# a minibatch gradient that overflows at its first step: f_value is null
+_OVERFLOW = {"problem": {"kind": "noisy-quadratic", "dim": 1, "variance": 1.0,
+                         "params": {"curvature": 1e300, "x0": [1e10]}},
+             "optimizer": {"algo": "sgd", "eta": 1e-300, "batch_size": 1}}
 
 # name: (argv after `noise_lab.cli`, config or None); `--config` and `--out` are added
 TABLE = {
@@ -58,6 +69,8 @@ TABLE = {
         "max_steps": 30_000}}),
     "crit13-run": (["run"], {**_CRIT13, "master_seed": 5,
                              "run": {"max_steps": 2000, "record_x": True}}),
+    "crit13-run-no-x": (["run"], {**_CRIT13, "master_seed": 6, "run": {
+        "max_steps": 2000, "epsilon": 1.0, "record_x": False, "reference_point": [0.5] * 16}}),
     "finite-sum-sweep": (["sweep"], {**_FS, "master_seed": 9, "sweep": {
         "batch_grid": [1, 4, 16], "epsilon": 0.5, "seeds": 2, "max_steps": 2000,
         "stop_kind": "inner-product", "reference_point": _FS_REF}}),
@@ -74,6 +87,7 @@ TABLE = {
         "delta": 0.3, "samples": 4000, "box_radius": 2.0, "points": [_BOWL_POINT]}}),
     "sine-bowl-sharpness": (["sharpness"], {**_BOWL, "master_seed": 12, "sharpness": {
         "rho": 0.5, "p": 2, "iters": 40, "point": _BOWL_POINT}}),
+    "overflow-run": (["run"], {**_OVERFLOW, "master_seed": 1, "run": {"max_steps": 5}}),
     "verify-default": (["verify"], None),
     "table1": (["table1"], None),
 }
@@ -122,6 +136,11 @@ def run_table(src: Path, workdir: Path, names=tuple(TABLE)) -> dict:
     return digests(workdir)
 
 
+def numpy_version() -> str:
+    """The version of the installed numpy, which the table's child processes import."""
+    return importlib.metadata.version("numpy")
+
+
 def differences(ours: dict, theirs: dict) -> list:
     """Every key whose digest differs or that only one side has, sorted."""
     return sorted(k for k in ours.keys() | theirs.keys() if ours.get(k) != theirs.get(k))
@@ -141,10 +160,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="REV",
                         help="compare every artifact with those of git revision REV")
+    parser.add_argument("--write", metavar="FILE",
+                        help="write the digests and the numpy and Python versions to FILE")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
         tmp = Path(tmp)
         ours = run_table(ROOT / "src", tmp / "ours")
+        if args.write is not None:
+            pinned = {"numpy": numpy_version(), "python": platform.python_version(),
+                      "digests": ours}
+            Path(args.write).write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n",
+                                        encoding="utf-8")
+            return 0
         if args.against is None:
             print(json.dumps(ours, indent=1, sort_keys=True))
             return 0
