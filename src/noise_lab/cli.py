@@ -420,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the key that sets each recording subcommand's step budget: a recorded trace
-# allocates its columns for every step the budget allows before the first one
+# the key that sets each recording subcommand's step budget: a recorded trace allocates
+# its columns for the whole budget at once, or under a stop rule as it steps
 BUDGET_KEYS = {"run": "$.run.max_steps", "sweep": "$.sweep.max_steps",
                "noise": "$.noise.steps", "verify": "$.verify"}
 

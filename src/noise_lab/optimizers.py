@@ -9,19 +9,21 @@ Updates (g is the minibatch gradient at x_t, buffers start at zero):
 shb(gamma, beta_bar) traces the same iterates as nshb(eta, beta) under
 eta = gamma / (1 - beta_bar), beta = beta_bar, because m_t = d_t / (1 - beta).
 
-One engine, `simulate`, advances R independent cells in lockstep on
-(R, dim) arrays; `run` is its one-cell case. Each cell draws one minibatch
-a step, around the exact gradient the step holds, from the one generator
-its RngStream gives, and every algorithm draws alike, so algorithms driven
-by the same RngStream see identical noise: cross-algorithm comparisons are
-exact rather than statistical, and a cell's iterates do not depend on
-which other cells share its stack.
+One engine, `simulate`, advances R independent cells, each at its own
+batch size, in lockstep on (R, dim) arrays, and tests their stop rule and
+divergence over the whole stack; `run` is its one-cell case. Each cell
+draws one minibatch a step, around the exact gradient the step holds, from
+the one generator its RngStream gives, and every algorithm draws alike, so
+algorithms driven by the same RngStream see identical noise: cross-algorithm
+comparisons are exact rather than statistical, and a cell's iterates do not
+depend on which other cells share its stack.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -196,37 +198,53 @@ class Trace:
         return self.x_snapshot
 
 
+def _slices(groups: list) -> list:
+    """(b, draws) pairs of consecutive rows, each with the slice of the stack it spans."""
+    ends = itertools.accumulate(len(d.gens) for _, d in groups)
+    return [(b, d, slice(hi - len(d.gens), hi)) for (b, d), hi in zip(groups, ends)]
+
+
 def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStream],
-             x0=None, stop=None, max_steps: int = 1000, record: bool = True) -> list:
+             x0=None, stop=None, max_steps: int = 1000, record: bool = True,
+             batch_sizes: Optional[Sequence[int]] = None) -> list:
     """Advance one cell per stream in lockstep on (R, dim) arrays, all from
     x0; returns one Trace per stream, in order, each with its step columns
-    when record is true (their max_steps rows are allocated up front).
+    when record is true (max_steps rows allocated up front, or under a stop
+    rule 1,024 rows doubled as steps are taken).
 
-    Each cell runs as if alone: every step draws from the one generator
-    streams[r].generator() built before its first step, the update cores
-    above step the stacked state, and a cell leaves the stack once it
-    diverges or its own accumulator from stop.start() fires.
-    observe(t, grad, minibatch_grad, x) sees one cell's vectors and returns
-    True to end it (see sweep.StopRule)."""
+    Row r steps at batch size batch_sizes[r] (default config.batch_size;
+    equal sizes contiguous), which its Trace.config carries. Each cell runs
+    as if alone: every step draws from the one generator streams[r].generator()
+    built before its first step, one draw call per batch size, the update
+    cores above step the whole stack, and a cell leaves the stack once it
+    diverges or the accumulator from stop.start(R) stops it (see
+    sweep.StopRule)."""
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     x = np.asarray(x0, dtype=float).copy() if x0 is not None else spec.default_start()
     if x.shape != (spec.dim,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({spec.dim},)")
     cells = len(streams)
+    sizes = [config.batch_size] * cells if batch_sizes is None else list(batch_sizes)
+    runs = [(b, len(list(same))) for b, same in itertools.groupby(sizes)]
+    if len(sizes) != cells or len({b for b, _ in runs}) < len(runs):
+        raise ValueError(f"need one batch size per stream, equal sizes contiguous: {sizes}")
+    gens = iter([s.generator() for s in streams])
+    groups = _slices([(b, CellDraws(list(itertools.islice(gens, n)))) for b, n in runs])
+    configs = {b: replace(config, batch_size=b) for b, _ in runs}
     state = OptimizerState.initial(np.tile(x, (cells, 1)))
-    accs = [stop.start() for _ in streams] if stop is not None else None
+    acc = stop.start(cells) if stop is not None else None
     names = ("grad", "search_direction", "minibatch_grad", "x_snapshot") if record else ()
-    cols = {n: np.empty((cells, max_steps, spec.dim)) for n in names}
+    held = max_steps if stop is None else min(max_steps, 1024)     # rows each column holds
+    cols = {n: np.empty((cells, held, spec.dim)) for n in names}
 
     # per-step constants, looked up once per call
     update, update_args, momentum = {              # momentum: the update follows the buffer
         "sgd": (_sgd, (config.eta,), False),
         "nshb": (_nshb, (config.eta, config.beta), True),
         "shb": (_shb, (config.gamma, config.beta_bar), True)}[config.algo]
-    b, grad, draw = config.batch_size, spec.grad, spec.minibatch_grad_ensemble
+    grad, draw = spec.grad, spec.minibatch_grad_ensemble
     live = np.arange(cells)               # cell id of each row of the stacked state
-    draws = CellDraws([s.generator() for s in streams])
     steps = np.full(cells, max_steps)
     exit_reason = np.full(cells, "step-cap", dtype=object)
     x_final = np.empty((cells, spec.dim))
@@ -235,7 +253,8 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
             break
         x_t = state.x
         g = grad(x_t)
-        gb = draw(x_t, b, draws, g)
+        gb = (draw(x_t, *groups[0][:2], g) if len(groups) == 1 else
+              np.concatenate([draw(x_t[s], b, d, g[s]) for b, d, s in groups]))
         update(state, gb, *update_args)
         # one test of the whole stack, row by row only when it fails; a NaN or infinite
         # coordinate fails it too, as does a row whose minibatch gradient is not finite:
@@ -247,6 +266,10 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
         direction = state.momentum if momentum else gb
 
         if record:
+            if t == held:
+                held = min(2 * held, max_steps)
+                cols = {n: np.concatenate((c, np.empty((cells, held - t, spec.dim))), axis=1)
+                        for n, c in cols.items()}
             rows = slice(None) if live.size == cells else live    # a slice writes faster
             cols["grad"][rows, t] = g
             cols["search_direction"][rows, t] = direction
@@ -254,29 +277,28 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
             cols["x_snapshot"][rows, t] = x_t
 
         if in_range:
-            if accs is None:
+            if acc is None:
                 continue
-            done = [acc.observe(t, g[i], gb[i], x_t[i]) for i, acc in enumerate(accs)]
-            if not any(done):
+            done = acc.observe(t, g, gb, x_t)
+            if not done.any():
                 continue
             diverged = np.zeros(live.size, dtype=bool)
         else:
             diverged = ~(np.maximum.reduce(np.abs(state.x), axis=1) <= DIVERGENCE_LIMIT)
-            done = diverged.tolist() if accs is None else [
-                d or acc.observe(t, g[i], gb[i], x_t[i])
-                for i, (d, acc) in enumerate(zip(diverged.tolist(), accs))]
-        done = np.array(done)
+            done = diverged if acc is None else diverged | acc.observe(t, g, gb, x_t)
         steps[live[done]] = t + 1
         exit_reason[live[done]] = np.where(diverged[done], "diverged", "converged")
         x_final[live[done]] = state.x[done]
         keep = ~done
         live, state.x, state.momentum = live[keep], state.x[keep], state.momentum[keep]
-        draws.keep(keep)
-        if accs is not None:
-            accs = [a for a, k in zip(accs, keep) if k]
+        if acc is not None:
+            acc.keep(keep)
+        for _, d, s in groups:
+            d.keep(keep[s])
+        groups = _slices([(b, d) for b, d, _ in groups if d.gens])
     x_final[live] = state.x
 
-    return [Trace(exit_reason=exit_reason[c], steps=int(steps[c]), config=config,
+    return [Trace(exit_reason=exit_reason[c], steps=int(steps[c]), config=configs[sizes[c]],
                   x_final=x_final[c], **{name: col[c, :steps[c]] for name, col in cols.items()})
             for c in range(cells)]
 

@@ -22,7 +22,7 @@ C^2 < b* eps^2 / eta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,33 +37,28 @@ class DomainError(ValueError):
     """Raised when an analytic curve is evaluated outside its domain."""
 
 
-# The stop rules keep BLAS dot products, not problems.rowdot: on a 16-vector dot
-# takes ~0.5 us against ~2 us (2-vCPU Xeon, numpy 2.4), and a rule writes no value,
-# so a BLAS kernel's last-ulp difference moves a step count only when the running
-# mean lies within one ulp of epsilon.
 class _CumulativeNormStop:
-    def __init__(self, epsilon: float):
-        self.epsilon = epsilon
-        self.total = 0.0
-        self.count = 0
+    """One running total per row of a stack; keep(mask) drops the other rows."""
 
-    def observe(self, t, grad, minibatch_grad, x) -> bool:
-        self.total += math.sqrt(grad.dot(grad))   # np.linalg.norm of a real vector, bit for bit
-        self.count += 1
-        return self.total / self.count < self.epsilon
+    def __init__(self, rows: int, threshold: float):
+        self.threshold, self.total = threshold, np.zeros(rows)
+
+    def observe(self, t, grad, minibatch_grad, x) -> np.ndarray:
+        self.total += np.sqrt(rowdot(grad, grad))
+        return self.total / (t + 1) < self.threshold
+
+    def keep(self, rows: np.ndarray) -> None:
+        self.total = self.total[rows]
 
 
-class _InnerProductStop:
-    def __init__(self, epsilon: float, reference_point: np.ndarray):
-        self.eps_sq = epsilon * epsilon
+class _InnerProductStop(_CumulativeNormStop):
+    def __init__(self, rows: int, threshold: float, reference_point: np.ndarray):
+        super().__init__(rows, threshold)
         self.ref = reference_point
-        self.total = 0.0
-        self.count = 0
 
-    def observe(self, t, grad, minibatch_grad, x) -> bool:
-        self.total += float(np.dot(x - self.ref, grad))
-        self.count += 1
-        return self.total / self.count <= self.eps_sq
+    def observe(self, t, grad, minibatch_grad, x) -> np.ndarray:
+        self.total += rowdot(x - self.ref, grad)
+        return self.total / (t + 1) <= self.threshold
 
 
 @dataclass(frozen=True)
@@ -93,10 +88,13 @@ class StopRule:
             object.__setattr__(self, "reference_point",
                                np.asarray(self.reference_point, dtype=float))
 
-    def start(self):
+    def start(self, rows: int):
+        """The accumulator of `rows` cells stepped together: observe(t, grad,
+        minibatch_grad, x) takes the live rows' (rows, dim) stacks at step t
+        and returns the mask of rows that stop; keep(mask) drops rows."""
         if self.kind == "cumulative-grad-norm":
-            return _CumulativeNormStop(self.epsilon)
-        return _InnerProductStop(self.epsilon, self.reference_point)
+            return _CumulativeNormStop(rows, self.epsilon)
+        return _InnerProductStop(rows, self.epsilon * self.epsilon, self.reference_point)
 
 
 @dataclass(frozen=True)
@@ -154,11 +152,11 @@ def run_sweep(spec: Objective, config_template: OptimizerConfig,
     """Per-(b, seed) step counts and SFO costs, aggregated per batch size.
 
     `seeds` is a count, any whole-number scalar (seed ids 0..seeds-1), or
-    a list of distinct ids. Each batch size steps all its seeds as one
-    `simulate` stack, and the rows come in (b, seed) order. A cell draws
-    only from RngStream(master_seed).child(b, seed), and every operation of
-    the stack is row-wise, so a row equals steps_to_epsilon on that stream
-    and does not depend on which other cells the sweep runs.
+    a list of distinct ids. Every (b, seed) cell steps in one `simulate`
+    stack, in (b, seed) order, each batch size's rows drawn in one call. A
+    cell draws only from RngStream(master_seed).child(b, seed), and every
+    operation of the stack is row-wise, so a row equals steps_to_epsilon on
+    that stream and does not depend on which other cells the sweep runs.
     """
     grid = [_whole(b, "batch size") for b in batch_grid]
     if not grid:
@@ -177,13 +175,13 @@ def run_sweep(spec: Objective, config_template: OptimizerConfig,
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
 
-    master, rows, per_batch = RngStream(master_seed), [], []
-    for b in grid:
-        traces = simulate(spec, replace(config_template, batch_size=b),
-                          [master.child(b, s) for s in seed_ids], x0=x0, stop=stop,
-                          max_steps=cap, record=False)
-        batch_rows = [_row(b, s, trace) for s, trace in zip(seed_ids, traces)]
-        rows += batch_rows
+    master, cells = RngStream(master_seed), [(b, s) for b in grid for s in seed_ids]
+    traces = simulate(spec, config_template, [master.child(b, s) for b, s in cells], x0=x0,
+                      stop=stop, max_steps=cap, record=False, batch_sizes=[b for b, _ in cells])
+    rows = [_row(b, s, trace) for (b, s), trace in zip(cells, traces)]
+    per_batch = []
+    for i, b in enumerate(grid):
+        batch_rows = rows[i * len(seed_ids):(i + 1) * len(seed_ids)]
         per_batch.append(BatchStats(
             b=b,
             mean_steps=float(np.mean([r.steps_T for r in batch_rows])),

@@ -45,6 +45,14 @@ COMMANDS = {
                     "params": {"x0": [2.0] * 16}},
         "optimizer": {"algo": "sgd", "eta": 0.02, "batch_size": 8},
         "run": {"max_steps": 400, "record_x": True}}),
+    # step counts under the cumulative-norm stop, one stack of 33 cells
+    "criterion-13-sweep": ("sweep", {
+        "master_seed": 5,
+        "problem": {"kind": "noisy-quadratic", "dim": 16, "variance": 450.0,
+                    "params": {"x0": [2.0] * 16}},
+        "optimizer": {"algo": "sgd", "eta": 0.02, "batch_size": 8},
+        "sweep": {"batch_grid": [2 ** k for k in range(3, 14)], "epsilon": 1.0, "seeds": 3,
+                  "max_steps": 30000}}),
     "sine-bowl-run": ("run", {
         "master_seed": 7,
         "problem": {"kind": "nonconvex-sine-bowl", "dim": 5, "variance": 1.0},

@@ -307,16 +307,13 @@ BAD_INPUTS = {
                                    "params": {"x0": [-5e-301], "coefficient": 5e159}},
                        "smooth": {"samples": 100, "delta": 5e-101, "box_radius": 3e10}},
         None, "$.smooth.lipschitz: the Lipschitz constant is inf"),
-    # a recorded trace allocates its columns for the whole budget: at 10^15 dim-2 steps a
-    # column is 14 PiB, past any 47-bit address space, so the allocation fails at once
+    # a recorded trace without a stop rule allocates its columns for the whole budget: at
+    # 10^15 dim-2 steps a column is 14 PiB, past any 47-bit address space, so the
+    # allocation fails at once
     "run-max-steps-past-memory": ("run", [], {"run": {"max_steps": 10 ** 15}}, None,
                                   "$.run.max_steps: the step budget does not fit in memory"),
     "noise-steps-past-memory": ("noise", [], {"noise": {"steps": 10 ** 15}}, None,
                                 "$.noise.steps: the step budget does not fit in memory"),
-    # the cells converge unrecorded; the critical report's recorded reference trace fails
-    "sweep-max-steps-past-memory": (
-        "sweep", [], {"sweep": dict(SWEEP_CFG["sweep"], max_steps=10 ** 15)}, None,
-        "$.sweep.max_steps: the step budget does not fit in memory"),
     "verify-ensemble-steps-past-memory": (
         "verify", [], {"verify": dict(SMALL_VERIFY["verify"], ensemble_steps=10 ** 15)}, None,
         "$.verify: the step budget does not fit in memory"),
@@ -339,6 +336,23 @@ def test_bad_input_exits_2_naming_its_path(tmp_path, capsys, monkeypatch, case):
     assert exit_status([command, *config, "--out", str(out), *flags]) == 2
     assert path in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_sweep_runs_at_a_step_budget_past_memory(tmp_path, capsys):
+    """A recorded trace under a stop rule grows its columns as steps are
+    taken: the critical report's reference trace at 10^10 dim-2 steps, 149
+    GiB a column if allocated up front, runs, and every cell converges within
+    a few hundred steps, so each file but the config echo is as at 3,000."""
+    outs = {}
+    for cap in (3000, 10 ** 10):
+        cfg = write_cfg(tmp_path, {**SWEEP_CFG, "sweep": dict(SWEEP_CFG["sweep"], max_steps=cap)})
+        outs[cap] = tmp_path / str(cap)
+        assert main(["sweep", "--config", cfg, "--out", str(outs[cap])]) == 0
+    for name in ("sweep.csv", "summary.csv"):
+        assert (outs[3000] / name).read_bytes() == (outs[10 ** 10] / name).read_bytes()
+    short, long = (json.loads((outs[c] / "critical.json").read_text()) for c in outs)
+    assert short.pop("config") != long.pop("config") and short == long
+    assert short["params"] is not None
 
 
 # (subcommand, block key, flag text, the JSON value the text reads as): a value
@@ -718,6 +732,17 @@ class TestRunSubcommand:
         assert main(["run", "--config", path, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "exit converged" in out
+
+    def test_epsilon_stop_at_a_step_budget_past_memory(self, tmp_path, capsys):
+        """With an epsilon the recorded columns grow as steps are taken, so a
+        10^10-step budget (149 GiB a column up front) runs as 500 does."""
+        runs = {}
+        for cap in (500, 10 ** 10):
+            cfg = write_cfg(tmp_path, {**SWEEP_CFG, "run": {"max_steps": cap, "epsilon": 0.5}})
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / str(cap))]) == 0
+            runs[cap] = (tmp_path / str(cap) / "run.jsonl").read_bytes()
+        assert "exit converged" in capsys.readouterr().out
+        assert runs[500] == runs[10 ** 10]
 
 
 class TestInnerProductSweep:

@@ -75,7 +75,7 @@ def reference_run(spec, config, x0, max_steps, rng, stop=None, draw=step_draw):
     update, divergence check, then the stop rule."""
     gen = cell_generator(rng)
     state = OptimizerState.initial(x0)
-    acc = stop.start() if stop is not None else None
+    acc = stop.start(1) if stop is not None else None
     xs, grads, mbs, dirs, fs = [], [], [], [], []
     exit_reason = "step-cap"
     for t in range(max_steps):
@@ -455,6 +455,37 @@ def test_no_streams_take_no_steps(monkeypatch):
     monkeypatch.setattr(type(spec), "grad", lambda obj, x: calls.append(len(x)) or x)
     assert simulate(spec, CONFIGS[0], [], max_steps=100_000) == []
     assert calls == []
+
+
+@pytest.mark.parametrize("epsilon", [0.15, 1e-300])
+def test_a_stopped_stack_grows_its_columns_as_it_steps(epsilon):
+    """Under a stop rule the recorded columns start at 1,024 rows and double
+    up to the cap: cells that converge at steps 2,166 to 2,257 (epsilon 0.15),
+    or run to the cap of 2,500, hold the first steps of the same cells
+    recorded without a stop rule, whose columns are allocated at once."""
+    spec, config = NoisyQuadratic(dim=2, variance=1.0), OptimizerConfig(algo="sgd", eta=0.01)
+    x0, streams = np.array([2.0, -1.0]), [RngStream(3).child(c) for c in range(3)]
+    full = simulate(spec, config, streams, x0=x0, max_steps=2500)
+    stopped = simulate(spec, config, streams, x0=x0, stop=StopRule(epsilon=epsilon),
+                       max_steps=2500)
+    assert all(t.steps > 2048 for t in stopped)
+    for trace, whole in zip(stopped, full):
+        for name in STEP_COLUMNS:
+            assert np.array_equal(getattr(trace, name), getattr(whole, name)[:trace.steps])
+
+
+def test_batch_sizes_must_be_contiguous_and_one_per_stream():
+    """Rows of equal batch size form one draw group: a size that comes back
+    after another is rejected before any step, as is a list of the wrong length;
+    each trace carries its row's size and equals its cell run alone."""
+    spec, streams = NoisyQuadratic(dim=2, variance=1.0), [RngStream(4).child(c) for c in range(4)]
+    for sizes in ([2, 4, 2, 4], [1, 1, 8, 1], [2, 2, 4]):
+        with pytest.raises(ValueError, match="equal sizes contiguous"):
+            simulate(spec, CONFIGS[0], streams, batch_sizes=sizes, max_steps=3)
+    traces = simulate(spec, CONFIGS[0], streams, batch_sizes=[4, 4, 1, 2], max_steps=3)
+    for b, stream, trace in zip((4, 4, 1, 2), streams, traces):
+        assert trace.config == replace(CONFIGS[0], batch_size=b)
+        assert_same_trace(trace, run(spec, trace.config, max_steps=3, rng=stream))
 
 
 @pytest.mark.parametrize("kind", ["cumulative-grad-norm", "inner-product"])

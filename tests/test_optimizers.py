@@ -217,15 +217,19 @@ class TestRun:
             def __init__(self, n):
                 self.n = n
 
-            def start(self):
+            def start(self, rows):
                 outer = self
 
                 class Acc:
-                    count = 0
+                    def __init__(self):
+                        self.rows = rows
 
                     def observe(self, t, grad, minibatch_grad, x):
-                        self.count += 1
-                        return self.count >= outer.n
+                        assert grad.shape == x.shape == (self.rows, 2)
+                        return np.full(self.rows, t + 1 >= outer.n)
+
+                    def keep(self, mask):
+                        self.rows = int(np.count_nonzero(mask))
 
                 return Acc()
 

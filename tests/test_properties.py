@@ -149,7 +149,7 @@ class TestStopRuleProperties:
         gen = np.random.default_rng(107)
         norms = gen.uniform(0.0, 2.0, 60)
         eps = 0.9
-        acc = nl.StopRule(epsilon=eps).start()
+        acc = nl.StopRule(epsilon=eps).start(1)
         fired_at = None
         for t, v in enumerate(norms):
             if acc.observe(t, np.array([v]), None, None):
@@ -167,7 +167,7 @@ class TestStopRuleProperties:
         gs = gen.standard_normal((40, 2))
         eps = 0.4
         acc = nl.StopRule(epsilon=eps, kind="inner-product",
-                          reference_point=ref).start()
+                          reference_point=ref).start(1)
         fired_at = None
         for t in range(40):
             if acc.observe(t, gs[t], None, xs[t]):

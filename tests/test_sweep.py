@@ -7,7 +7,8 @@ import pytest
 
 from noise_lab import sweep
 from noise_lab.optimizers import OptimizerConfig
-from noise_lab.problems import FiniteSumLeastSquares, NoisyQuadratic, RngStream, make_objective
+from noise_lab.problems import (FiniteSumLeastSquares, NoisyQuadratic, RngStream, make_objective,
+                                rowdot)
 from noise_lab.sweep import (
     AnalyticCurveParams,
     BatchStats,
@@ -31,32 +32,38 @@ class TestStopRule:
     def test_cumulative_mean_strict_inequality(self):
         """Norm sequence 0.6, 0.4, 0.4 with eps = 0.5: means 0.6, 0.5,
         0.4667; the strict comparison first passes at t = 3."""
-        acc = StopRule(epsilon=0.5).start()
-        fired = [acc.observe(t, np.array([n, 0.0]), None, None)
+        acc = StopRule(epsilon=0.5).start(1)
+        fired = [acc.observe(t, np.array([[n, 0.0]]), None, None).tolist()
                  for t, n in enumerate([0.6, 0.4, 0.4])]
-        assert fired == [False, False, True]
+        assert fired == [[False], [False], [True]]
 
     def test_inner_product_rule(self):
         ref = np.zeros(2)
-        acc = StopRule(epsilon=0.5, kind="inner-product", reference_point=ref).start()
-        x = np.array([1.0, 0.0])
-        g = np.array([0.3, 0.0])
+        acc = StopRule(epsilon=0.5, kind="inner-product", reference_point=ref).start(1)
+        x = np.array([[1.0, 0.0]])
+        g = np.array([[0.3, 0.0]])
         # <x - ref, g> = 0.3 > eps^2 = 0.25, then 0.2 brings the mean to 0.25
-        assert not acc.observe(0, g, None, x)
-        assert acc.observe(1, np.array([0.2, 0.0]), None, x)
+        assert acc.observe(0, g, None, x).tolist() == [False]
+        assert acc.observe(1, np.array([[0.2, 0.0]]), None, x).tolist() == [True]
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 16, 17, 33])
     def test_cumulative_total_is_the_sum_of_numpy_norms(self, dim):
-        """The rule adds sqrt(g.g); np.linalg.norm computes the same for a
-        real vector, so the totals agree bit for bit, BLAS tails included."""
+        """The rule adds np.sqrt(rowdot(g, g)) per row, so its totals are the
+        running sums of those norms, and a row's total has the same bits alone
+        as in a stack, after rows before it have left."""
         gen = np.random.default_rng(dim)
-        grads = gen.standard_normal((500, dim)) * 10.0 ** gen.integers(-3, 4, size=(500, 1))
-        acc = StopRule(epsilon=1e-300).start()
-        total = 0.0
-        for t, g in enumerate(grads):       # rows of a stack, as simulate passes them
-            acc.observe(t, g, None, None)
-            total += float(np.linalg.norm(g))
-            assert acc.total == total
+        grads = gen.standard_normal((500, 4, dim)) * 10.0 ** gen.integers(-3, 4, size=(500, 4, 1))
+        stacked, alone = StopRule(epsilon=1e-300).start(4), StopRule(epsilon=1e-300).start(1)
+        total, rows = np.zeros(4), np.arange(4)
+        for t, g in enumerate(grads):
+            if t == 250:            # rows 0 and 2 leave the stack
+                rows = rows[[1, 3]]
+                stacked.keep(np.array([False, True, False, True]))
+            stacked.observe(t, g[rows], None, None)
+            alone.observe(t, g[3:], None, None)
+            total += np.sqrt(rowdot(g, g))
+            assert np.array_equal(stacked.total, total[rows])
+        assert alone.total.tobytes() == stacked.total[-1:].tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -220,7 +227,7 @@ def rows_equal_their_cells_alone(spec, cfg, grid, seeds, stop, cap, x0, master_s
 
 
 class TestStackedRows:
-    """run_sweep steps each batch size's seeds as one stack; every row must
+    """run_sweep steps every (b, seed) cell as one stack; every row must
     equal its cell run alone by steps_to_epsilon on master.child(b, seed)."""
 
     @pytest.mark.parametrize("stop_kind", ["cumulative-grad-norm", "inner-product"])
@@ -243,6 +250,26 @@ class TestStackedRows:
             np.array([2.0, 1.0]), master_seed=5)
         for b in (2, 3):
             assert {r.exit_reason for r in summary.rows if r.b == b} == {"converged", "step-cap"}
+
+    def test_a_middle_batch_size_that_diverges(self):
+        """At b = 4 the quadratic below draws a minibatch gradient 60 times too
+        long, so each b = 4 cell multiplies its iterate by about -5 a step and
+        passes the divergence limit at step 43 or 44, while b = 2 cells
+        converge (one at step 35) or hit the cap of 60 and b = 16 cells
+        converge from step 40 to 56: rows leave the one stack from every group,
+        before and after the middle group empties, and each equals its cell alone."""
+        class UnstableAtFour(NoisyQuadratic):
+            def minibatch_grad_ensemble(self, X, b, draws, G=None):
+                gb = super().minibatch_grad_ensemble(X, b, draws, G)
+                return gb * 60.0 if b == 4 else gb
+
+        summary = rows_equal_their_cells_alone(
+            UnstableAtFour(dim=2, variance=4.0), OptimizerConfig(algo="sgd", eta=0.1),
+            [2, 4, 16], 6, StopRule(epsilon=0.5), 60, np.array([2.0, 1.0]), master_seed=7)
+        steps = {b: [r.steps_T for r in summary.rows if r.b == b] for b in (2, 4, 16)}
+        reasons = {b: {r.exit_reason for r in summary.rows if r.b == b} for b in steps}
+        assert reasons == {2: {"converged", "step-cap"}, 4: {"diverged"}, 16: {"converged"}}
+        assert min(steps[2] + steps[16]) < min(steps[4]) <= max(steps[4]) < max(steps[16])
 
     def test_a_stack_whose_rows_diverge(self):
         spec = NoisyQuadratic(dim=1, variance=1.0, curvature=1e300, x0=[1e10])

@@ -61,12 +61,18 @@ _BOWL_POINT = [0.1, -0.2, 0.3, 0.0, 0.5]
 _OVERFLOW = {"problem": {"kind": "noisy-quadratic", "dim": 1, "variance": 1.0,
                          "params": {"curvature": 1e300, "x0": [1e10]}},
              "optimizer": {"algo": "sgd", "eta": 1e-300, "batch_size": 1}}
+_CRIT13_SWEEP = {"batch_grid": [2 ** k for k in range(3, 14)], "epsilon": 1.0, "seeds": 3,
+                 "max_steps": 30_000}
 
 # name: (argv after `noise_lab.cli`, config or None); `--config` and `--out` are added
 TABLE = {
-    "crit13-sweep": (["sweep"], {**_CRIT13, "master_seed": 5, "sweep": {
-        "batch_grid": [2 ** k for k in range(3, 14)], "epsilon": 1.0, "seeds": 3,
-        "max_steps": 30_000}}),
+    "crit13-sweep": (["sweep"], {**_CRIT13, "master_seed": 5, "sweep": _CRIT13_SWEEP}),
+    "crit13-sweep-901": (["sweep"], {**_CRIT13, "master_seed": 901, "sweep": _CRIT13_SWEEP}),
+    # CI's console-script sweep: an integral float seed count, no master_seed
+    "dim2-sweep": (["sweep"], {
+        "problem": {"kind": "noisy-quadratic", "dim": 2, "variance": 4.0},
+        "optimizer": {"algo": "sgd", "eta": 0.1},
+        "sweep": {"batch_grid": [4, 8], "epsilon": 0.4, "seeds": 2.0, "max_steps": 3000}}),
     "crit13-run": (["run"], {**_CRIT13, "master_seed": 5,
                              "run": {"max_steps": 2000, "record_x": True}}),
     "crit13-run-no-x": (["run"], {**_CRIT13, "master_seed": 6, "run": {
@@ -88,7 +94,11 @@ TABLE = {
     "sine-bowl-sharpness": (["sharpness"], {**_BOWL, "master_seed": 12, "sharpness": {
         "rho": 0.5, "p": 2, "iters": 40, "point": _BOWL_POINT}}),
     "overflow-run": (["run"], {**_OVERFLOW, "master_seed": 1, "run": {"max_steps": 5}}),
+    # CI's overflow sweep: both rows, one stack, diverge at their first step
+    "overflow-sweep": (["sweep"], {**_OVERFLOW, "master_seed": 1, "sweep": {
+        "batch_grid": [1, 2], "epsilon": 1.0, "seeds": 1, "max_steps": 5}}),
     "verify-default": (["verify"], None),
+    "verify-1021": (["verify"], {"master_seed": 1021}),
     "table1": (["table1"], None),
 }
 
