@@ -70,7 +70,7 @@ def lhs_inner_product(traces: Sequence[Trace], x_ref) -> tuple[float, float]:
         raise ValueError(f"traces have unequal lengths {sorted(lengths)}")
     x_ref = np.asarray(x_ref, dtype=float)
     per_trace = np.array([
-        float(np.mean(np.sum((t.xs() - x_ref) * t.grad, axis=1)))
+        float(np.mean(rowdot(t.xs() - x_ref, t.grad)))
         for t in traces
     ])
     mean = float(np.mean(per_trace))
@@ -111,9 +111,9 @@ def stationarity_check(spec: Objective, x_star, directions: int,
     gen = rng.generator()
     ys = x_star + gen.standard_normal((directions, x_star.size))
     ys = np.vstack([ys, x_star - g])
-    ips = rowdot(ys - x_star, g)
-    min_ip = float(np.min(ips))
-    max_radius = float(np.max(np.linalg.norm(ys - x_star, axis=1)))
+    offsets = ys - x_star
+    min_ip = float(np.min(rowdot(offsets, g)))
+    max_radius = float(np.max(np.sqrt(rowdot(offsets, offsets))))
     ip_tol = grad_tol * max(max_radius, 1.0)
     consistent = (grad_norm <= grad_tol) == (min_ip >= -ip_tol)
     return {"grad_norm": grad_norm, "min_inner_product": min_ip,
@@ -258,10 +258,10 @@ def run_verify_suite(settings: Optional[VerifySettings] = None) -> list:
     quad = NoisyQuadratic(dim=2, variance=4.0)
     x_probe = np.array([1.0, -2.0])
     worst_rel = 0.0
-    for b in (1, 4, 16, 64):
-        samples = minibatch_deviation_sq_samples(quad, x_probe, b, s.variance_draws,
-                                                 rng.child("scaling", b))
-        rel = abs(float(np.mean(samples)) - 4.0 / b) / (4.0 / b)
+    for b in (1, 4, 16, 64):        # each b's samples are gone before the next b draws
+        mean = float(np.mean(minibatch_deviation_sq_samples(quad, x_probe, b, s.variance_draws,
+                                                            rng.child("scaling", b))))
+        rel = abs(mean - 4.0 / b) / (4.0 / b)
         worst_rel = max(worst_rel, rel)
     results.append(CheckResult("minibatch-variance-scaling", worst_rel, 0.05,
                                worst_rel <= 0.05, True,

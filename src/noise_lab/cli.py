@@ -13,6 +13,7 @@ one).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -427,6 +428,17 @@ BUDGET_KEYS = {"run": "$.run.max_steps", "sweep": "$.sweep.max_steps",
 
 
 def main(argv=None) -> int:
+    """Run the command line argv (default sys.argv[1:]); its exit status. Run as
+    the program, with argv None, it freezes what is still alive as it returns,
+    so the collections at interpreter exit skip the objects the imports made."""
+    try:
+        return _main(argv)
+    finally:
+        if argv is None:
+            gc.freeze()
+
+
+def _main(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -50,10 +50,18 @@ def gradient_noise_samples(spec: Objective, x, m: int, rng: RngStream) -> np.nda
 def minibatch_deviation_sq_samples(spec: Objective, x, b: int, m: int,
                                    rng: RngStream) -> np.ndarray:
     """m iid values of ||minibatch_grad - grad f||^2 at a fixed point; their
-    mean estimates C^2 / b."""
+    mean estimates C^2 / b. The means are drawn from one generator of rng a
+    block at a time and reduced as they come, so no (m, dim) array is held."""
     x = np.asarray(x, dtype=float)
-    dev = spec.minibatch_grad_means(x, b, m, rng) - spec.grad(x)
-    return rowdot(dev, dev)
+    if m < 1:
+        raise ValueError(f"sample count must be >= 1, got {m}")
+    g, gen, rows = spec.grad(x), rng.generator(), spec._block_rows(b, at_point=True)
+    out = np.empty(m)
+    for lo in range(0, m, rows):
+        dev = spec.minibatch_grad_means(x, b, min(rows, m - lo), gen)
+        dev -= g
+        out[lo:lo + rows] = rowdot(dev, dev)
+    return out
 
 
 @dataclass(frozen=True)

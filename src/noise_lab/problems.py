@@ -26,10 +26,11 @@ Additive noise is isotropic Gaussian with per-coordinate variance
 C^2 / dim, so the total deviation second moment is exactly C^2 and the
 1/b minibatch scaling is an equality rather than a bound.
 
-All randomness flows through caller-supplied RngStream values: a stepped
-cell takes every draw from one generator of its stream, through its stack's
-CellDraws and around the rows' exact gradients. The objectives themselves
-are immutable and safe to share across runs.
+All randomness flows through caller-supplied RngStream values or the
+generators built from them: a stepped cell takes every draw from one
+generator of its stream, through its stack's CellDraws and around the
+rows' exact gradients. The objectives themselves are immutable and safe
+to share across runs.
 """
 
 from __future__ import annotations
@@ -113,14 +114,19 @@ class CellDraws:
         self.gens = list(gens)
         self._tape, self._next = np.empty((len(self.gens), 0, 0)), 0
 
-    def standard_normal(self, shape: tuple) -> np.ndarray:
-        """The next standard normals of shape (rows, dim), row r from gens[r]."""
+    def standard_normal(self, shape: tuple, scale: float = 1.0, b: int = 1) -> np.ndarray:
+        """The next standard normals z of shape (rows, dim), row r from gens[r],
+        or with a scale and a batch size the step noise (scale * z) / sqrt(b):
+        a tape is scaled once, as it is drawn, so every call on one CellDraws
+        passes the same scale and b."""
         if self._next == self._tape.shape[1]:
             rows, dim = shape
             k = min(_TAPE_STEPS, _CHUNK_SCALARS // max(1, rows * dim))
             block = np.empty((rows, max(k, 1), dim))
             for gen, row in zip(self.gens, block):
                 gen.standard_normal(out=row)
+            block *= scale
+            block /= math.sqrt(b)
             if k == 0:
                 return block[:, 0]
             self._tape, self._next = block, 0
@@ -201,12 +207,14 @@ class Objective:
             raise ValueError(f"x has shape {x.shape}, expected ({self.dim},) or (m, {self.dim})")
         return x
 
-    def minibatch_grad_means(self, x, b: int, m: int, rng: RngStream) -> np.ndarray:
-        """m independent minibatch gradients at a fixed point, shape (m, dim)."""
+    def minibatch_grad_means(self, x, b: int, m: int, gen: np.random.Generator) -> np.ndarray:
+        """m independent minibatch gradients at a fixed point, shape (m, dim),
+        from the next draws of gen: the generator continues its sequence, so
+        two calls of m/2 rows give the bits of one call of m rows."""
         x = self._check_x(x)
         if m < 1:
             raise ValueError(f"sample count must be >= 1, got {m}")
-        return self._draw_blocks(np.broadcast_to(x, (m, self.dim)), b, rng.generator(),
+        return self._draw_blocks(np.broadcast_to(x, (m, self.dim)), b, gen,
                                  np.broadcast_to(self.grad(x), (m, self.dim)), at_point=True)
 
     def minibatch_grad_ensemble(self, X: np.ndarray, b: int, draws,
@@ -231,9 +239,7 @@ class Objective:
         block of rows at a time so that no block holds more than
         _CHUNK_SCALARS draws (unless one row does); as the generator continues
         its sequence across calls, no block size changes a bit of the result."""
-        if b < 1:
-            raise ValueError(f"batch size must be >= 1, got {b}")
-        rows = max(1, _CHUNK_SCALARS // self._row_scalars(b, at_point))
+        rows = self._block_rows(b, at_point)
         if 0 < X.shape[0] <= rows:      # one block, the common case: no copy into out
             return self._minibatch_block(X, b, gen, G, at_point)
         out = np.empty((X.shape[0], self.dim))
@@ -241,6 +247,13 @@ class Objective:
             out[lo:lo + rows] = self._minibatch_block(
                 X[lo:lo + rows], b, gen, None if G is None else G[lo:lo + rows], at_point)
         return out
+
+    def _block_rows(self, b: int, at_point: bool) -> int:
+        """Rows of minibatch gradients one block of draws holds: at most
+        _CHUNK_SCALARS scalars, unless one row holds more."""
+        if b < 1:
+            raise ValueError(f"batch size must be >= 1, got {b}")
+        return max(1, _CHUNK_SCALARS // self._row_scalars(b, at_point))
 
     def _row_scalars(self, b, at_point) -> int:     # what one row of a block holds
         return b * self.dim
@@ -294,6 +307,8 @@ class _AdditiveNoiseObjective(Objective):
         if self.variance == 0.0:
             return G.copy()
         if not at_point:        # G + (s * z) / sqrt(b): addition commutes exactly
+            if isinstance(draws, CellDraws):        # its tape holds (s * z) / sqrt(b)
+                return draws.standard_normal(X.shape, self.noise_scale, b) + G
             noise = draws.standard_normal(X.shape) * self.noise_scale
             noise /= math.sqrt(b)
             noise += G
@@ -301,13 +316,18 @@ class _AdditiveNoiseObjective(Objective):
         noise = draws.standard_normal((X.shape[0], b, self.dim))
         if self.dim == 1:       # numpy sums a contiguous axis pairwise: keep those bits
             noise *= self.noise_scale
-            return G + np.add.reduce(noise, axis=1) / b
-        # the same sequential sum over b of each (row, coordinate), but with the
-        # draws scaled into a (b, dim, rows) copy every add runs over dim * rows
-        # values
-        terms = np.multiply(noise.transpose(1, 2, 0), self.noise_scale,
-                            out=np.empty((b, self.dim, X.shape[0])))
-        return G + np.add.reduce(terms, axis=0).T / b
+            mean = np.add.reduce(noise, axis=1)
+        else:
+            # the same sequential sum over b of each (row, coordinate), but with
+            # the draws scaled into a (b, dim, rows) copy every add runs over
+            # dim * rows values; the draws go before the sum
+            terms = np.multiply(noise.transpose(1, 2, 0), self.noise_scale,
+                                out=np.empty((b, self.dim, X.shape[0])))
+            del noise
+            mean = np.add.reduce(terms, axis=0).T
+        mean /= b
+        mean += G
+        return mean
 
 
 class NoisyQuadratic(_AdditiveNoiseObjective):

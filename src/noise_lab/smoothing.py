@@ -111,7 +111,7 @@ def _chi_mean(dim: int) -> float:
 def draw_directions(dist: str, dim: int, m: int, gen: np.random.Generator) -> np.ndarray:
     """m perturbation directions with E||u|| <= 1, shape (m, dim)."""
     z = gen.standard_normal((m, dim))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    norms = np.sqrt(rowdot(z, z))[:, None]
     norms[norms == 0.0] = 1.0
     if dist == "unit-sphere-uniform":
         return z / norms
@@ -167,7 +167,7 @@ def smoothed_value(f, x, smoothing: SmoothingSpec, rng: RngStream) -> SmoothedVa
         if not math.isfinite(total_sq):     # inf - inf would read as a variance of 0
             raise FloatingPointError("the squared objective values inside the smoothing "
                                      "average overflow")
-        norm_total += float(np.sum(np.linalg.norm(u, axis=1)))
+        norm_total += float(np.sum(np.sqrt(rowdot(u, u))))
         done += take
     mean = total / m
     var = max(0.0, total_sq / m - mean * mean)

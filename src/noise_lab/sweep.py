@@ -267,8 +267,7 @@ def resolve_constants(spec: Objective, traces: Sequence[Trace], x_ref, beta: flo
         c_sq = consts.variance
         notes.append("C^2: configured")
     elif traces:
-        dev = np.concatenate([
-            np.sum((t.minibatch_grad - t.grad) ** 2, axis=1) for t in traces])
+        dev = np.concatenate([rowdot(d, d) for d in (t.minibatch_grad - t.grad for t in traces)])
         c_sq = float(np.mean(dev) * traces[0].config.batch_size)
         notes.append("C^2: trace-estimated" if one else "C^2: ensemble-estimated")
     else:
@@ -277,7 +276,7 @@ def resolve_constants(spec: Objective, traces: Sequence[Trace], x_ref, beta: flo
         k_sq = consts.grad_sq_bound
         notes.append("K^2: configured")
     elif traces:
-        k_sq = max(float(np.max(np.sum(t.grad ** 2, axis=1))) for t in traces)
+        k_sq = max(float(np.max(rowdot(t.grad, t.grad))) for t in traces)
         notes.append("K^2: trace-estimated" if one else "K^2: ensemble max of ||grad||^2")
     else:
         raise ValueError("gradient bound K^2 unknown and no trace to estimate it from")
@@ -285,7 +284,7 @@ def resolve_constants(spec: Objective, traces: Sequence[Trace], x_ref, beta: flo
     if beta > 0.0:
         if not traces:
             raise ValueError("momentum term needs a trace to estimate D = max ||x_t - x_ref||")
-        d_hat = max(float(np.max(np.linalg.norm(t.xs() - x_ref, axis=1))) for t in traces)
+        d_hat = max(float(np.max(np.sqrt(rowdot(d, d)))) for d in (t.xs() - x_ref for t in traces))
         notes.append(f"D: trace-estimated ({d_hat:.6g})" if one
                      else f"D: ensemble max ||x_t - x_ref|| = {d_hat:.6g}")
     return c_sq, k_sq, d_hat, notes

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, determinism, file formats."""
 
+import gc
 import json
 import os
 import subprocess
@@ -940,12 +941,39 @@ assert star["run"] is sys.modules["noise_lab.optimizers"].run
 """
 
 
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports this tree's package."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+
+
 def test_the_cli_loads_only_what_its_subcommands_run():
     """In a fresh interpreter, importing the CLI loads none of analysis, noise
     and smoothing; they still resolve as cli attributes, and every name the
     package exports resolves and is bound by a star import."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
-    subprocess.run([sys.executable, "-c", IMPORT_CHECK, *PACKAGE_NAMES], env=env, check=True,
-                   timeout=60)
+    subprocess.run([sys.executable, "-c", IMPORT_CHECK, *PACKAGE_NAMES], env=child_env(),
+                   check=True, timeout=60)
+
+
+FREEZE_CHECK = """
+import gc, sys
+from noise_lab.cli import main
+sys.argv[1:] = ["table1", "--out", sys.argv[1]]
+status = main()
+print(status, gc.get_freeze_count())
+"""
+
+
+def test_only_the_program_freezes_the_collector(tmp_path):
+    """main(argv) called in-process leaves the collector alone; main() run as
+    the program ends with the objects still alive frozen, so the collections
+    at interpreter exit skip them."""
+    before = gc.get_freeze_count()
+    assert main(["table1", "--out", str(tmp_path / "in-process")]) == 0
+    assert gc.get_freeze_count() == before
+    done = subprocess.run([sys.executable, "-c", FREEZE_CHECK, str(tmp_path / "program")],
+                          env=child_env(), capture_output=True, text=True, check=True,
+                          timeout=60)
+    status, frozen = map(int, done.stdout.split()[-2:])
+    assert status == 0 and frozen > 0

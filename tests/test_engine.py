@@ -165,7 +165,8 @@ class TestParity:
                 for x, s, g in zip(X, streams, G):
                     assert np.array_equal(g, step_draw(spec, x, b, cell_generator(s)))
                     if b == 1 or isinstance(spec, FiniteSumLeastSquares):
-                        assert np.array_equal(g, spec.minibatch_grad_means(x, b, 1, s)[0])
+                        means = spec.minibatch_grad_means(x, b, 1, s.generator())
+                        assert np.array_equal(g, means[0])
 
 
 @pytest.mark.parametrize("config", [replace(c, batch_size=1) for c in CONFIGS],
@@ -283,7 +284,7 @@ class TestDrawBlocks:
     def test_means_at_a_point(self, spec, b, rows, blocks):
         calls = blocks(True)
         x = self.points(spec)[0]
-        got = spec.minibatch_grad_means(x, b, 10, RngStream(3, (b,)))
+        got = spec.minibatch_grad_means(x, b, 10, RngStream(3, (b,)).generator())
         want = unblocked_draws(spec, np.tile(x, (10, 1)), b, RngStream(3, (b,)).generator(), True)
         assert np.array_equal(got, want)
         assert len(calls) == (1 if rows is None else -(-10 // rows))
@@ -336,7 +337,7 @@ def deviation_law_holds(spec, x, n, rng, batches=LAW_BATCHES, z=LAW_Z) -> bool:
         step = rng.child("step", b)
         cells = CellDraws([step.child(i).generator() for i in range(n)])
         paths = (spec.minibatch_grad_ensemble(np.tile(x, (n, 1)), b, cells, np.tile(g, (n, 1))),
-                 spec.minibatch_grad_means(x, b, n, rng.child("means", b)))
+                 spec.minibatch_grad_means(x, b, n, rng.child("means", b).generator()))
         for draws in paths:
             d = draws - g
             mean_z = d.mean(axis=0) / np.sqrt(c2 / (b * spec.dim * n))
@@ -383,6 +384,23 @@ def test_minibatch_means_hold_one_block_of_draws_at_a_time():
         tracemalloc.stop()
     assert samples.shape == (100_000,)
     assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("b", [1, 64])
+def test_deviations_hold_one_block_beside_their_samples(b):
+    """200,000 deviations at dim 2 are drawn and reduced a block at a time:
+    the call's peak stays below its (m,) samples plus 2.5 MB, where the whole
+    (m, dim) means, their deviations and squares took ~6 MB more."""
+    spec, x = NoisyQuadratic(2, 4.0), np.array([1.0, -2.0])
+    RngStream(0).generator()        # numpy.random loaded before tracing starts
+    tracemalloc.start()
+    try:
+        samples = minibatch_deviation_sq_samples(spec, x, b, 200_000, RngStream(6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert samples.shape == (200_000,)
+    assert peak < samples.nbytes + 2.5e6
 
 
 def splitting_problem():
@@ -560,19 +578,22 @@ def test_tapes_equal_the_written_out_step_loop(spec, tape_steps, monkeypatch):
     to 150 steps (not a multiple of 7 or 64) equals the one-generator step
     loop, while cells leave the stack at their own steps (48 to 150, but for
     the constant gradient, whose cells all run to the cap) and the tape
-    drops their rows."""
+    drops their rows; so does every cell of a stack of three batch sizes,
+    1, 3 and 64, each group with its own tape of scaled step noise."""
     monkeypatch.setattr(problems, "_TAPE_STEPS", tape_steps)
     config, x0 = CONFIGS[1], spec.default_start() * 0.5
     stop = StopRule(epsilon=0.3 * float(np.linalg.norm(spec.grad(x0))))
     streams = [RngStream(15).child("tape", c) for c in range(6)]
-    traces = simulate(spec, config, streams, x0=x0, stop=stop, max_steps=150)
-    for stream, trace in zip(streams, traces):
-        ref = reference_run(spec, config, x0, 150, stream, stop=stop)
-        assert (trace.exit_reason, trace.steps) == (ref["exit_reason"], ref["steps"])
-        for name in ("x_final", "x_snapshot", "minibatch_grad", "search_direction"):
-            assert np.array_equal(getattr(trace, name), ref[name]), name
-    if not isinstance(spec, ConstantGradient):
-        assert len({t.steps for t in traces}) > 2
+    for sizes in (None, [1, 1, 3, 3, 64, 64]):
+        traces = simulate(spec, config, streams, x0=x0, stop=stop, max_steps=150,
+                          batch_sizes=sizes)
+        for stream, trace in zip(streams, traces):
+            ref = reference_run(spec, trace.config, x0, 150, stream, stop=stop)
+            assert (trace.exit_reason, trace.steps) == (ref["exit_reason"], ref["steps"])
+            for name in ("x_final", "x_snapshot", "minibatch_grad", "search_direction"):
+                assert np.array_equal(getattr(trace, name), ref[name]), name
+        if not isinstance(spec, ConstantGradient):
+            assert len({t.steps for t in traces}) > 2
 
 
 @pytest.mark.parametrize("rows", [13, 1000, 2000])

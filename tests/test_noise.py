@@ -14,7 +14,8 @@ from noise_lab.noise import (
     tail_stats,
 )
 from noise_lab.optimizers import OptimizerConfig, run, simulate
-from noise_lab.problems import ConstantGradient, NoisyQuadratic, RngStream
+from noise_lab.problems import (ConstantGradient, FiniteSumLeastSquares, NoisyQuadratic,
+                                RngStream, rowdot)
 
 
 def stationary_trace(beta, steps, c_sq=1.0, eta=0.05, seed=7):
@@ -181,6 +182,27 @@ class TestMinibatchDeviationSamples:
             s = minibatch_deviation_sq_samples(q, x, b, 50_000, RngStream(6).child(b))
             np.testing.assert_allclose(np.mean(s), 4.0 / b, rtol=0.05)
 
+    @pytest.mark.parametrize("b", [1, 64])
+    @pytest.mark.parametrize("spec", [
+        NoisyQuadratic(dim=1, variance=2.0), NoisyQuadratic(dim=2, variance=4.0),
+        FiniteSumLeastSquares(np.arange(10.0).reshape(5, 2) % 3, np.arange(5.0))],
+        ids=["quadratic-dim1", "quadratic-dim2", "finite-sum"])
+    def test_streamed_blocks_equal_the_whole_array(self, spec, b):
+        """Reduced a block at a time, the samples have the bits of
+        rowdot(means - grad) over every mean drawn from the same stream at
+        once: three full blocks and a remainder."""
+        x = np.linspace(1.0, -2.0, spec.dim)
+        m = 3 * spec._block_rows(b, at_point=True) + 5
+        dev = spec.minibatch_grad_means(x, b, m, RngStream(8).generator()) - spec.grad(x)
+        assert np.array_equal(minibatch_deviation_sq_samples(spec, x, b, m, RngStream(8)),
+                              rowdot(dev, dev))
+
+    def test_bad_counts_rejected(self):
+        q = NoisyQuadratic(dim=2, variance=4.0)
+        for b, m in ((0, 10), (1, 0)):
+            with pytest.raises(ValueError):
+                minibatch_deviation_sq_samples(q, np.zeros(2), b, m, RngStream(0))
+
 
 class TestTailStats:
     def test_gaussian_reference(self):
@@ -215,7 +237,7 @@ class TestTailStats:
         """Per-coordinate deviations of the Gaussian oracle show zero excess
         kurtosis within the 99% CI."""
         q = NoisyQuadratic(dim=4, variance=2.0)
-        draws = q.minibatch_grad_means(np.zeros(4), 1, 50_000, RngStream(9))
+        draws = q.minibatch_grad_means(np.zeros(4), 1, 50_000, RngStream(9).generator())
         coords = (draws - q.grad(np.zeros(4))).ravel()
         stats = tail_stats(coords)
         # 99% CI half-width for n = 2e5: 2.58 * sqrt(24/n) ~ 0.028

@@ -258,14 +258,14 @@ class TestEvalGrad:
 class TestStochasticGrad:
     def test_zero_variance_is_exact(self):
         q = NoisyQuadratic(dim=2, variance=0.0)
-        g = q.minibatch_grad_means([1.0, 2.0], 1, 1, RngStream(0))[0]
+        g = q.minibatch_grad_means([1.0, 2.0], 1, 1, RngStream(0).generator())[0]
         np.testing.assert_array_equal(g, q.grad([1.0, 2.0]))
 
     def test_deviation_second_moment(self):
         """Monte-Carlo E||G - grad f||^2 equals the configured C^2."""
         q = NoisyQuadratic(dim=2, variance=4.0)
         x = np.array([1.0, -1.0])
-        draws = q.minibatch_grad_means(x, 1, 100_000, RngStream(11))
+        draws = q.minibatch_grad_means(x, 1, 100_000, RngStream(11).generator())
         dev = draws - q.grad(x)
         mean_sq = np.mean(np.sum(dev * dev, axis=1))
         np.testing.assert_allclose(mean_sq, 4.0, rtol=0.05)
@@ -275,13 +275,13 @@ class TestStochasticGrad:
         q = NoisyQuadratic(dim=3, variance=9.0)
         x = np.array([0.5, 1.5, -2.0])
         m = 100_000
-        draws = q.minibatch_grad_means(x, 1, m, RngStream(21))
+        draws = q.minibatch_grad_means(x, 1, m, RngStream(21).generator())
         err = np.linalg.norm(draws.mean(axis=0) - q.grad(x))
         assert err <= 4.0 * np.sqrt(9.0 / m)
 
     def test_finite_sum_uniform_index(self):
         fs = two_sample_finite_sum()
-        draws = fs.minibatch_grad_means(np.zeros(2), 1, 20_000, RngStream(4))
+        draws = fs.minibatch_grad_means(np.zeros(2), 1, 20_000, RngStream(4).generator())
         first = np.array([2.0, 0.0])
         second = np.array([0.0, 2.0])
         is_first = np.all(np.isclose(draws, first), axis=1)
@@ -292,8 +292,8 @@ class TestStochasticGrad:
     def test_bit_for_bit_determinism(self):
         q = SineBowl(dim=4, variance=2.0)
         x = np.array([0.1, 0.2, 0.3, 0.4])
-        a = q.minibatch_grad_means(x, 1, 1, RngStream(9, (2,)))
-        b = q.minibatch_grad_means(x, 1, 1, RngStream(9, (2,)))
+        a = q.minibatch_grad_means(x, 1, 1, RngStream(9, (2,)).generator())
+        b = q.minibatch_grad_means(x, 1, 1, RngStream(9, (2,)).generator())
         np.testing.assert_array_equal(a, b)
 
 
@@ -304,19 +304,19 @@ class TestMinibatchGrad:
         q = NoisyQuadratic(dim=2, variance=4.0)
         x = np.array([1.0, 1.0])
         s = RngStream(13)
-        np.testing.assert_array_equal(q.minibatch_grad_means(x, 1, 1, s)[0],
+        np.testing.assert_array_equal(q.minibatch_grad_means(x, 1, 1, s.generator())[0],
                                       q.grad(x) + s.generator().standard_normal(2) * q.noise_scale)
 
     def test_zero_variance_any_batch(self):
         q = NoisyQuadratic(dim=2, variance=0.0)
-        g = q.minibatch_grad_means([3.0, -1.0], 16, 1, RngStream(0))[0]
+        g = q.minibatch_grad_means([3.0, -1.0], 16, 1, RngStream(0).generator())[0]
         np.testing.assert_array_equal(g, q.grad([3.0, -1.0]))
 
     def test_variance_scaling_b4(self):
         """Variance-of-the-mean equality case: E||dev||^2 = C^2 / 4 at b=4."""
         q = NoisyQuadratic(dim=2, variance=4.0)
         x = np.array([1.0, 1.0])
-        means = q.minibatch_grad_means(x, 4, 100_000, RngStream(17))
+        means = q.minibatch_grad_means(x, 4, 100_000, RngStream(17).generator())
         dev = means - q.grad(x)
         np.testing.assert_allclose(np.mean(np.sum(dev * dev, axis=1)), 1.0, rtol=0.05)
 
@@ -324,7 +324,7 @@ class TestMinibatchGrad:
         q = NoisyQuadratic(dim=2, variance=4.0)
         x = np.array([0.3, -0.7])
         for b in (1, 4, 16, 64):
-            means = q.minibatch_grad_means(x, b, 100_000, RngStream(19).child(b))
+            means = q.minibatch_grad_means(x, b, 100_000, RngStream(19).child(b).generator())
             dev = means - q.grad(x)
             np.testing.assert_allclose(np.mean(np.sum(dev * dev, axis=1)),
                                        4.0 / b, rtol=0.05)
@@ -332,7 +332,23 @@ class TestMinibatchGrad:
     def test_zero_batch_rejected(self):
         q = NoisyQuadratic(dim=2, variance=1.0)
         with pytest.raises(ValueError):
-            q.minibatch_grad_means([0.0, 0.0], 0, 1, RngStream(0))
+            q.minibatch_grad_means([0.0, 0.0], 0, 1, RngStream(0).generator())
+
+    @pytest.mark.parametrize("b", [1, 4, 64])
+    @pytest.mark.parametrize("spec", [
+        NoisyQuadratic(dim=1, variance=2.0), NoisyQuadratic(dim=2, variance=4.0),
+        FiniteSumLeastSquares(np.arange(5.0)[:, None], np.ones(5)),
+        FiniteSumLeastSquares(np.arange(10.0).reshape(5, 2) % 3, np.arange(5.0))],
+        ids=["quadratic-dim1", "quadratic-dim2", "finite-sum-dim1", "finite-sum-dim2"])
+    def test_calls_continue_their_generator(self, spec, b):
+        """Two calls of m/2 rows on one generator give the bits of one call of
+        m rows: 515 rows, an odd count of finite-sum indices at b = 1, and two
+        blocks of draws at b = 64 and dim 2."""
+        x = np.linspace(0.5, -1.0, spec.dim)
+        whole = spec.minibatch_grad_means(x, b, 1030, RngStream(23, (b,)).generator())
+        gen = RngStream(23, (b,)).generator()
+        halves = [spec.minibatch_grad_means(x, b, 515, gen) for _ in range(2)]
+        assert np.array_equal(whole, np.vstack(halves))
 
     def test_finite_sum_ensemble_matches_chunk_distribution(self):
         """The per-row ensemble draw has the same mean/covariance scale as
@@ -342,7 +358,7 @@ class TestMinibatchGrad:
         x = rng.standard_normal(3)
         ens = fs.minibatch_grad_ensemble(np.tile(x, (20_000, 1)), 4, RngStream(33).generator(),
                                          np.tile(fs.grad(x), (20_000, 1)))
-        ref = fs.minibatch_grad_means(x, 4, 20_000, RngStream(44))
+        ref = fs.minibatch_grad_means(x, 4, 20_000, RngStream(44).generator())
         np.testing.assert_allclose(ens.mean(axis=0), ref.mean(axis=0), atol=0.05)
         dev_e = np.mean(np.sum((ens - fs.grad(x)) ** 2, axis=1))
         dev_r = np.mean(np.sum((ref - fs.grad(x)) ** 2, axis=1))

@@ -36,7 +36,7 @@ class TestOracleProperties:
             x = gen.standard_normal(dim)
             b = int(gen.integers(1, 5))
             m = 4_000
-            draws = spec.minibatch_grad_means(x, b, m, RngStream(200).child(trial))
+            draws = spec.minibatch_grad_means(x, b, m, RngStream(200).child(trial).generator())
             err = np.linalg.norm(draws.mean(axis=0) - spec.grad(x))
             dev = draws - spec.grad(x)
             second_moment = float(np.mean(np.sum(dev * dev, axis=1)))

@@ -1,10 +1,10 @@
 """Byte-identity harness: one table of canonical CLI invocations and the
 sha256 of everything each one leaves behind.
 
-Each entry runs `python -m noise_lab.cli` in a child process, in a fresh
-directory of its own that holds its config, with `--out out` given
-relative to that directory, so that stdout names the same paths in every
-run. An entry's digests cover each file under `out`, its stdout and its
+Each entry runs `python -m noise_lab.cli` in a child process, all entries
+at once, each in a fresh directory of its own that holds its config, with
+`--out out` given relative to that directory, so that stdout names the
+same paths in every run. An entry's digests cover each file under `out`, its stdout and its
 exit status, keyed `<entry>/<artifact>`.
 
     python3 tools/golden.py                  # print {entry/artifact: sha256} as JSON
@@ -34,6 +34,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -140,9 +141,10 @@ def digests(workdir: Path) -> dict:
 
 
 def run_table(src: Path, workdir: Path, names=tuple(TABLE)) -> dict:
-    """Run the named entries against the package under src; their digests."""
-    for name in names:
-        run_entry(src, name, workdir)
+    """Run the named entries against the package under src, all at once (each
+    has its own directory); their digests."""
+    with ThreadPoolExecutor(len(names)) as pool:
+        list(pool.map(lambda name: run_entry(src, name, workdir), names))
     return digests(workdir)
 
 
