@@ -1,5 +1,8 @@
 """Bound arithmetic, ensemble estimation, identities, verify suite."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -211,6 +214,26 @@ class TestGridShapeHelpers:
         assert not grid_monotone_decreasing(np.array([1.0, 2.0]))
 
 
+# the schema's floor for every verify budget
+FLOORS = VerifySettings(variance_draws=1000, noise_steps=200, ensemble_seeds=30,
+                        ensemble_steps=10, identity_triples=100, replicas=100)
+
+
+def scaling_sampler(monkeypatch, before_64):
+    """Patch the suite's deviation sampler to call before_64() ahead of the
+    b = 64 draw; returns the thread each b drew on."""
+    sampler, threads = analysis.minibatch_deviation_sq_samples, {}
+
+    def patched(spec, x, b, m, rng):
+        threads[b] = threading.current_thread()
+        if b == 64:
+            before_64()
+        return sampler(spec, x, b, m, rng)
+
+    monkeypatch.setattr(analysis, "minibatch_deviation_sq_samples", patched)
+    return threads
+
+
 class TestVerifySuite:
     def test_default_suite_asserted_checks_pass(self):
         settings = VerifySettings(ensemble_seeds=40, ensemble_steps=80,
@@ -238,3 +261,55 @@ class TestVerifySuite:
         b = run_verify_suite(settings)
         assert [(r.check, r.lhs, r.rhs, r.holds) for r in a] == \
                [(r.check, r.lhs, r.rhs, r.holds) for r in b]
+
+    def test_thread_timing_changes_no_result(self, monkeypatch):
+        """The b = 64 draw runs on a helper thread beside every other check:
+        holding it back until the others are done, or holding the first
+        main-thread check back until it is done, changes no result."""
+        threads = threading.active_count()
+        plain = run_verify_suite(FLOORS)
+        with monkeypatch.context() as m:
+            drew_on = scaling_sampler(m, lambda: time.sleep(0.3))
+            late_draw = run_verify_suite(FLOORS)
+        assert drew_on[64] is not threading.current_thread()
+        assert all(drew_on[b] is threading.current_thread() for b in (1, 4, 16))
+        with monkeypatch.context() as m:
+            identity = analysis._identity_check
+            m.setattr(analysis, "_identity_check",
+                      lambda *args: time.sleep(0.3) or identity(*args))
+            late_check = run_verify_suite(FLOORS)
+        assert plain == late_draw == late_check
+        assert threading.active_count() == threads
+
+    def test_scaling_lhs_equals_the_draws_made_in_turn(self):
+        rng, quad = RngStream(FLOORS.master_seed), NoisyQuadratic(dim=2, variance=4.0)
+        rel = []
+        for b in (1, 4, 16, 64):
+            mean = float(np.mean(analysis.minibatch_deviation_sq_samples(
+                quad, np.array([1.0, -2.0]), b, FLOORS.variance_draws, rng.child("scaling", b))))
+            rel.append(abs(mean - 4.0 / b) / (4.0 / b))
+        scaling = {r.check: r for r in run_verify_suite(FLOORS)}["minibatch-variance-scaling"]
+        assert scaling.lhs == max(rel)
+
+    def test_a_failed_helper_draw_is_raised_by_the_suite(self, monkeypatch):
+        planted = RuntimeError("b = 64")
+
+        def fail():
+            raise planted
+
+        scaling_sampler(monkeypatch, fail)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            run_verify_suite(FLOORS)
+        assert info.value is planted
+        assert threading.active_count() == threads
+
+    def test_the_helper_draws_under_the_callers_error_state(self, monkeypatch):
+        """numpy's error state does not carry into a new thread: the helper
+        sets the caller's, as the CLI's handlers run under over/invalid ignore."""
+        seen = []
+        scaling_sampler(monkeypatch, lambda: seen.append(np.geterr()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            caller = np.geterr()
+            run_verify_suite(FLOORS)
+        assert seen == [caller]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -318,6 +319,11 @@ BAD_INPUTS = {
     "verify-ensemble-steps-past-memory": (
         "verify", [], {"verify": dict(SMALL_VERIFY["verify"], ensemble_steps=10 ** 15)}, None,
         "$.verify: the step budget does not fit in memory"),
+    # every b's (m,) samples are 8 PB: the helper thread's b = 64 draw fails as the main
+    # thread's b = 1 does
+    "verify-variance-draws-past-memory": (
+        "verify", [], {"verify": dict(SMALL_VERIFY["verify"], variance_draws=10 ** 15)}, None,
+        "$.verify: the step budget does not fit in memory"),
 }
 
 
@@ -334,9 +340,31 @@ def test_bad_input_exits_2_naming_its_path(tmp_path, capsys, monkeypatch, case):
     if env_seed is not None:
         monkeypatch.setenv("NOISE_LAB_SEED", env_seed)
     out = tmp_path / "out"
+    threads = threading.active_count()
     assert exit_status([command, *config, "--out", str(out), *flags]) == 2
     assert path in capsys.readouterr().err
     assert not out.exists()
+    assert threading.active_count() == threads
+
+
+def test_a_memory_error_on_the_helper_thread_exits_2(tmp_path, capsys, monkeypatch):
+    """verify's b = 64 draw runs on a helper thread; its MemoryError is raised
+    again on the main thread, which maps it to exit 2 naming $.verify."""
+    sampler = analysis.minibatch_deviation_sq_samples
+
+    def fail_at_64(spec, x, b, m, rng):
+        if b == 64:
+            raise MemoryError("planted")
+        return sampler(spec, x, b, m, rng)
+
+    monkeypatch.setattr(analysis, "minibatch_deviation_sq_samples", fail_at_64)
+    out = tmp_path / "out"
+    threads = threading.active_count()
+    assert exit_status(["verify", "--config", write_cfg(tmp_path, SMALL_VERIFY),
+                        "--out", str(out)]) == 2
+    assert "$.verify: the step budget does not fit in memory (planted)" in capsys.readouterr().err
+    assert not out.exists()
+    assert threading.active_count() == threads
 
 
 def test_a_sweep_runs_at_a_step_budget_past_memory(tmp_path, capsys):
