@@ -27,6 +27,7 @@ import numpy as np
 
 from . import smoothing as _smoothing
 from . import sweep as _sweep
+from .config import ConfigError
 from .noise import default_burn_in, minibatch_deviation_sq_samples, search_direction_noise
 from .optimizers import OptimizerConfig, Trace, run, simulate
 from .problems import ConstantGradient, NoisyQuadratic, Objective, RngStream, rowdot
@@ -125,7 +126,8 @@ def ensemble(spec: Objective, config: OptimizerConfig, x0, steps: int, seeds: in
              rng: RngStream) -> list:
     """Independent-seed traces of equal length with x snapshots, in seed
     order; seed s runs on rng.child(s), all seeds in one lockstep stack."""
-    return simulate(spec, config, [rng.child(s) for s in range(seeds)], x0=x0, max_steps=steps)
+    return simulate(spec, [config] * seeds, [rng.child(s) for s in range(seeds)], x0=x0,
+                    max_steps=steps)
 
 
 @dataclass(frozen=True)
@@ -261,9 +263,12 @@ def run_verify_suite(settings: Optional[VerifySettings] = None) -> list:
     x_probe = np.array([1.0, -2.0])
 
     def scaling_error(b: int, stream: RngStream) -> float:
-        mean = float(np.mean(minibatch_deviation_sq_samples(quad, x_probe, b, s.variance_draws,
-                                                            stream)))
-        return abs(mean - 4.0 / b) / (4.0 / b)
+        try:
+            samples = minibatch_deviation_sq_samples(quad, x_probe, b, s.variance_draws, stream)
+        except MemoryError as exc:
+            raise ConfigError(f"the variance-scaling samples do not fit in memory ({exc})",
+                              "$.verify.variance_draws") from exc
+        return abs(float(np.mean(samples)) - 4.0 / b) / (4.0 / b)
 
     # the b = 64 draw is most of the suite's arithmetic, spent in numpy calls that
     # release the interpreter lock, and the rest of the suite is interpreter-bound
@@ -356,19 +361,18 @@ def _model_checks(s: VerifySettings, rng: RngStream, quad: NoisyQuadratic) -> li
                                upd.confidence_radius, upd.within_confidence, True,
                                f"{upd.replicas} replicas, burn-in {upd.burn_in}"))
 
-    # algorithm equivalences under shared noise: all four runs share one stream
-    shared = rng.child("equiv")
+    # algorithm equivalences under shared noise: the four rows of one stack share one stream
     shb_cfg = OptimizerConfig(algo="shb", gamma=0.05, beta_bar=0.9, batch_size=4)
     eta_eq, beta_eq = shb_cfg.effective_eta_beta()
-    for check, tol, notes, *configs in (
+    configs = (shb_cfg, OptimizerConfig(algo="nshb", eta=eta_eq, beta=beta_eq, batch_size=4),
+               OptimizerConfig(algo="nshb", eta=0.1, beta=0.0, batch_size=4),
+               OptimizerConfig(algo="sgd", eta=0.1, batch_size=4))
+    xs = [t.xs() for t in simulate(quad, configs, [rng.child("equiv")] * 4, x0, max_steps=1000)]
+    for check, tol, notes, pair in (
             ("shb-nshb-reparameterization", 1e-10,
-             "max per-coordinate relative divergence over 1000 shared-noise steps",
-             shb_cfg, OptimizerConfig(algo="nshb", eta=eta_eq, beta=beta_eq, batch_size=4)),
-            ("zero-momentum-reduces-to-sgd", 1e-12, "",
-             OptimizerConfig(algo="nshb", eta=0.1, beta=0.0, batch_size=4),
-             OptimizerConfig(algo="sgd", eta=0.1, batch_size=4))):
-        rel = _max_rel_divergence(*(run(quad, c, x0=x0, max_steps=1000, rng=shared).xs()
-                                    for c in configs))
+             "max per-coordinate relative divergence over 1000 shared-noise steps", xs[:2]),
+            ("zero-momentum-reduces-to-sgd", 1e-12, "", xs[2:])):
+        rel = _max_rel_divergence(*pair)
         results.append(CheckResult(check, rel, tol, rel <= tol, True, notes))
 
     # stationarity certificates agree

@@ -58,7 +58,7 @@ def minibatch_deviation_sq_samples(spec: Objective, x, b: int, m: int,
     g, gen, rows = spec.grad(x), rng.generator(), spec._block_rows(b, at_point=True)
     out = np.empty(m)
     for lo in range(0, m, rows):
-        dev = spec.minibatch_grad_means(x, b, min(rows, m - lo), gen)
+        dev = spec.minibatch_grad_means(x, b, min(rows, m - lo), gen, g)
         dev -= g
         out[lo:lo + rows] = rowdot(dev, dev)
     return out

@@ -1,16 +1,22 @@
 """SGD and the two heavy-ball momentum variants, with a shared-noise run loop.
 
-Updates (g is the minibatch gradient at x_t, buffers start at zero):
+All three algorithms are one update of the iterate x and a buffer m, the
+zero vector at t = 0, with g the minibatch gradient at x_t and
+(p, q, a) = config.coefficients():
 
-  sgd    x <- x - eta * g
-  nshb   d <- (1 - beta) * g + beta * d;   x <- x - eta * d
-  shb    m <- g + beta_bar * m;            x <- x - gamma * m
+  m <- p * g + q * m;   x <- x - a * m
 
+  algo   p          q          a
+  sgd    1          0          eta
+  nshb   1 - beta   beta       eta
+  shb    1          beta_bar   gamma
+
+m is the search direction, g for sgd, d_t for nshb and m_t for shb.
 shb(gamma, beta_bar) traces the same iterates as nshb(eta, beta) under
 eta = gamma / (1 - beta_bar), beta = beta_bar, because m_t = d_t / (1 - beta).
 
-One engine, `simulate`, advances R independent cells, each at its own
-batch size, in lockstep on (R, dim) arrays, and tests their stop rule and
+One engine, `simulate`, advances R independent cells, each under its own
+config, in lockstep on (R, dim) arrays, and tests their stop rule and
 divergence over the whole stack; `run` is its one-cell case. Each cell
 draws one minibatch a step, around the exact gradient the step holds, from
 the one generator its RngStream gives, and every algorithm draws alike, so
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -35,6 +41,12 @@ ALGOS = ("sgd", "nshb", "shb")
 
 # any coordinate beyond this magnitude terminates a run as diverged
 DIVERGENCE_LIMIT = 1e30
+
+
+def _checked_momentum(value: float, name: str) -> float:
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"{name} must be in [0, 1), got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -51,30 +63,26 @@ class OptimizerConfig:
             raise ValueError(f"algo must be one of {ALGOS}, got {self.algo!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"beta must be in [0, 1), got {self.beta}")
-        if not 0.0 <= self.beta_bar < 1.0:
-            raise ValueError(f"beta_bar must be in [0, 1), got {self.beta_bar}")
-        if self.algo in ("sgd", "nshb"):
-            if self.eta is None or self.eta <= 0:
-                raise ValueError(f"{self.algo} needs eta > 0, got {self.eta}")
-        else:
-            if self.gamma is None or self.gamma <= 0:
-                raise ValueError(f"shb needs gamma > 0, got {self.gamma}")
+        _checked_momentum(self.beta, "beta")
+        _checked_momentum(self.beta_bar, "beta_bar")
+        rate, name = (self.gamma, "gamma") if self.algo == "shb" else (self.eta, "eta")
+        if rate is None or rate <= 0:
+            raise ValueError(f"{self.algo} needs {name} > 0, got {rate}")
+
+    def coefficients(self) -> tuple[float, float, float]:
+        """(p, q, a) of the update m <- p g + q m;  x <- x - a m."""
+        return {"sgd": (1.0, 0.0, self.eta), "nshb": (1.0 - self.beta, self.beta, self.eta),
+                "shb": (1.0, self.beta_bar, self.gamma)}[self.algo]
 
     def effective_eta_beta(self) -> tuple[float, float]:
         """The nshb-equivalent (eta, beta) pair for any algorithm."""
-        if self.algo == "sgd":
-            return float(self.eta), 0.0
-        if self.algo == "nshb":
-            return float(self.eta), float(self.beta)
-        return map_shb_to_nshb(float(self.gamma), float(self.beta_bar))
+        _, q, a = map(float, self.coefficients())
+        return map_shb_to_nshb(a, q) if self.algo == "shb" else (a, q)
 
 
 @dataclass
 class OptimizerState:
-    """Iterate plus momentum buffer (d for nshb, m for shb); buffers are the
-    zero vector at t = 0."""
+    """Iterate x and buffer m, the search direction, zero at t = 0."""
 
     x: np.ndarray
     momentum: np.ndarray
@@ -86,55 +94,44 @@ class OptimizerState:
         return cls(x=x0, momentum=np.zeros_like(x0), t=0)
 
 
-def _sgd(state: OptimizerState, g: np.ndarray, eta: float) -> None:
-    state.x = state.x - eta * g
+def _update(state: OptimizerState, g: np.ndarray, p, q, a) -> None:
+    """m <- p g + q m, the buffer updated in place;  x <- x - a m."""
+    state.momentum *= q
+    state.momentum += p * g
+    state.x = state.x - a * state.momentum
 
 
-def _nshb(state: OptimizerState, g: np.ndarray, eta: float, beta: float) -> None:
-    state.momentum = (1.0 - beta) * g + beta * state.momentum
-    state.x = state.x - eta * state.momentum
-
-
-def _shb(state: OptimizerState, g: np.ndarray, gamma: float, beta_bar: float) -> None:
-    state.momentum = g + beta_bar * state.momentum
-    state.x = state.x - gamma * state.momentum
-
-
-def _checked_step(update, state: OptimizerState, g, *args) -> OptimizerState:
-    """update, for a direct caller: a g that is not finite raises FloatingPointError."""
+def _checked_step(state: OptimizerState, g, p: float, q: float, a: float) -> OptimizerState:
+    """_update, for a direct caller: a g that is not finite raises FloatingPointError,
+    and the buffer is updated in a copy, so no array the caller holds is written."""
     g = np.asarray(g, dtype=float)
     # a NaN or infinite entry makes the max NaN or inf; an empty g passes
     if not np.maximum.reduce(np.abs(g), axis=None, initial=0.0) < np.inf:
         raise FloatingPointError("non-finite gradient passed to optimizer step")
-    update(state, g, *args)
+    state.momentum = np.array(state.momentum, dtype=float)
+    _update(state, g, p, q, a)
     state.t += 1
     return state
 
 
 def sgd_step(state: OptimizerState, g, eta: float) -> OptimizerState:
     """x <- x - eta * g."""
-    return _checked_step(_sgd, state, g, eta)
+    return _checked_step(state, g, 1.0, 0.0, eta)
 
 
 def nshb_step(state: OptimizerState, g, eta: float, beta: float) -> OptimizerState:
     """d <- (1 - beta) g + beta d;  x <- x - eta * d."""
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must be in [0, 1), got {beta}")
-    return _checked_step(_nshb, state, g, eta, beta)
+    return _checked_step(state, g, 1.0 - _checked_momentum(beta, "beta"), beta, eta)
 
 
 def shb_step(state: OptimizerState, g, gamma: float, beta_bar: float) -> OptimizerState:
     """m <- g + beta_bar m;  x <- x - gamma * m."""
-    if not 0.0 <= beta_bar < 1.0:
-        raise ValueError(f"beta_bar must be in [0, 1), got {beta_bar}")
-    return _checked_step(_shb, state, g, gamma, beta_bar)
+    return _checked_step(state, g, 1.0, _checked_momentum(beta_bar, "beta_bar"), gamma)
 
 
 def map_shb_to_nshb(gamma: float, beta_bar: float) -> tuple[float, float]:
     """(gamma, beta_bar) -> (eta, beta) = (gamma / (1 - beta_bar), beta_bar)."""
-    if not 0.0 <= beta_bar < 1.0:
-        raise ValueError(f"beta_bar must be in [0, 1), got {beta_bar}")
-    return gamma / (1.0 - beta_bar), beta_bar
+    return gamma / (1.0 - _checked_momentum(beta_bar, "beta_bar")), beta_bar
 
 
 @dataclass(frozen=True)
@@ -204,45 +201,40 @@ def _slices(groups: list) -> list:
     return [(b, d, slice(hi - len(d.gens), hi)) for (b, d), hi in zip(groups, ends)]
 
 
-def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStream],
-             x0=None, stop=None, max_steps: int = 1000, record: bool = True,
-             batch_sizes: Optional[Sequence[int]] = None) -> list:
+def simulate(spec: Objective, configs: Sequence[OptimizerConfig], streams: Sequence[RngStream],
+             x0=None, stop=None, max_steps: int = 1000, record: bool = True) -> list:
     """Advance one cell per stream in lockstep on (R, dim) arrays, all from
     x0; returns one Trace per stream, in order, each with its step columns
     when record is true (max_steps rows allocated up front, or under a stop
     rule 1,024 rows doubled as steps are taken).
 
-    Row r steps at batch size batch_sizes[r] (default config.batch_size;
-    equal sizes contiguous), which its Trace.config carries. Each cell runs
-    as if alone: every step draws from the one generator streams[r].generator()
-    built before its first step, one draw call per batch size, the update
-    cores above step the whole stack, and a cell leaves the stack once it
-    diverges or the accumulator from stop.start(R) stops it (see
-    sweep.StopRule)."""
+    Row r runs configs[r], its Trace.config: its batch size (equal sizes
+    contiguous) and its coefficients, so a stack may mix algorithms. Each
+    cell runs as if alone: every step draws from the one generator
+    streams[r].generator() built before its first step, one draw call per
+    batch size, and a cell leaves the stack once it diverges or the
+    accumulator from stop.start(R) stops it (see sweep.StopRule)."""
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     x = np.asarray(x0, dtype=float).copy() if x0 is not None else spec.default_start()
     if x.shape != (spec.dim,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({spec.dim},)")
-    cells = len(streams)
-    sizes = [config.batch_size] * cells if batch_sizes is None else list(batch_sizes)
+    cells, sizes = len(streams), [c.batch_size for c in configs]
     runs = [(b, len(list(same))) for b, same in itertools.groupby(sizes)]
     if len(sizes) != cells or len({b for b, _ in runs}) < len(runs):
-        raise ValueError(f"need one batch size per stream, equal sizes contiguous: {sizes}")
+        raise ValueError(f"need one config per stream, equal batch sizes contiguous: {sizes}")
     gens = iter([s.generator() for s in streams])
     groups = _slices([(b, CellDraws(list(itertools.islice(gens, n)))) for b, n in runs])
-    configs = {b: replace(config, batch_size=b) for b, _ in runs}
+    # one set of coefficients as floats, or per-row (R, 1) columns when rows differ
+    coefs = np.array([c.coefficients() for c in configs]).reshape(cells, 3)
+    shared = cells > 0 and bool((coefs == coefs[0]).all())
+    p, q, a = coefs[0].tolist() if shared else coefs.T[:, :, None]
     state = OptimizerState.initial(np.tile(x, (cells, 1)))
     acc = stop.start(cells) if stop is not None else None
     names = ("grad", "search_direction", "minibatch_grad", "x_snapshot") if record else ()
     held = max_steps if stop is None else min(max_steps, 1024)     # rows each column holds
     cols = {n: np.empty((cells, held, spec.dim)) for n in names}
 
-    # per-step constants, looked up once per call
-    update, update_args, momentum = {              # momentum: the update follows the buffer
-        "sgd": (_sgd, (config.eta,), False),
-        "nshb": (_nshb, (config.eta, config.beta), True),
-        "shb": (_shb, (config.gamma, config.beta_bar), True)}[config.algo]
     grad, draw = spec.grad, spec.minibatch_grad_ensemble
     live = np.arange(cells)               # cell id of each row of the stacked state
     steps = np.full(cells, max_steps)
@@ -255,7 +247,7 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
         g = grad(x_t)
         gb = (draw(x_t, *groups[0][:2], g) if len(groups) == 1 else
               np.concatenate([draw(x_t[s], b, d, g[s]) for b, d, s in groups]))
-        update(state, gb, *update_args)
+        _update(state, gb, p, q, a)
         # one test of the whole stack, row by row only when it fails; a NaN or infinite
         # coordinate fails it too, as does a row whose minibatch gradient is not finite:
         # that row has no next iterate, so its iterate and buffer become NaN
@@ -263,7 +255,6 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
         if not in_range:
             no_step = ~(np.maximum.reduce(np.abs(gb), axis=1) < np.inf)
             state.x[no_step] = state.momentum[no_step] = np.nan
-        direction = state.momentum if momentum else gb
 
         if record:
             if t == held:
@@ -272,7 +263,7 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
                         for n, c in cols.items()}
             rows = slice(None) if live.size == cells else live    # a slice writes faster
             cols["grad"][rows, t] = g
-            cols["search_direction"][rows, t] = direction
+            cols["search_direction"][rows, t] = state.momentum
             cols["minibatch_grad"][rows, t] = gb
             cols["x_snapshot"][rows, t] = x_t
 
@@ -291,6 +282,8 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
         x_final[live[done]] = state.x[done]
         keep = ~done
         live, state.x, state.momentum = live[keep], state.x[keep], state.momentum[keep]
+        if not shared:
+            p, q, a = p[keep], q[keep], a[keep]
         if acc is not None:
             acc.keep(keep)
         for _, d, s in groups:
@@ -298,7 +291,7 @@ def simulate(spec: Objective, config: OptimizerConfig, streams: Sequence[RngStre
         groups = _slices([(b, d) for b, d, _ in groups if d.gens])
     x_final[live] = state.x
 
-    return [Trace(exit_reason=exit_reason[c], steps=int(steps[c]), config=configs[sizes[c]],
+    return [Trace(exit_reason=exit_reason[c], steps=int(steps[c]), config=configs[c],
                   x_final=x_final[c], **{name: col[c, :steps[c]] for name, col in cols.items()})
             for c in range(cells)]
 
@@ -312,4 +305,4 @@ def run(spec: Objective, config: OptimizerConfig, x0=None, stop=None, max_steps:
     Every minibatch comes from one generator, rng.generator(), step after
     step, so runs sharing an RngStream share noise draw-for-draw.
     """
-    return simulate(spec, config, [rng], x0=x0, stop=stop, max_steps=max_steps, record=record)[0]
+    return simulate(spec, [config], [rng], x0=x0, stop=stop, max_steps=max_steps, record=record)[0]

@@ -207,15 +207,17 @@ class Objective:
             raise ValueError(f"x has shape {x.shape}, expected ({self.dim},) or (m, {self.dim})")
         return x
 
-    def minibatch_grad_means(self, x, b: int, m: int, gen: np.random.Generator) -> np.ndarray:
+    def minibatch_grad_means(self, x, b: int, m: int, gen: np.random.Generator,
+                             G: Optional[np.ndarray] = None) -> np.ndarray:
         """m independent minibatch gradients at a fixed point, shape (m, dim),
-        from the next draws of gen: the generator continues its sequence, so
-        two calls of m/2 rows give the bits of one call of m rows."""
+        around G, its exact gradient (None: computed here), from the next draws
+        of gen: the generator continues its sequence, so two calls of m/2 rows
+        give the bits of one call of m rows."""
         x = self._check_x(x)
         if m < 1:
             raise ValueError(f"sample count must be >= 1, got {m}")
-        return self._draw_blocks(np.broadcast_to(x, (m, self.dim)), b, gen,
-                                 np.broadcast_to(self.grad(x), (m, self.dim)), at_point=True)
+        G = np.broadcast_to(self.grad(x) if G is None else G, (m, self.dim))
+        return self._draw_blocks(np.broadcast_to(x, (m, self.dim)), b, gen, G, at_point=True)
 
     def minibatch_grad_ensemble(self, X: np.ndarray, b: int, draws,
                                 G: Optional[np.ndarray] = None) -> np.ndarray:

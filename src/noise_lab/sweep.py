@@ -22,7 +22,7 @@ C^2 < b* eps^2 / eta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -176,8 +176,8 @@ def run_sweep(spec: Objective, config_template: OptimizerConfig,
         raise ValueError(f"cap must be >= 1, got {cap}")
 
     master, cells = RngStream(master_seed), [(b, s) for b in grid for s in seed_ids]
-    traces = simulate(spec, config_template, [master.child(b, s) for b, s in cells], x0=x0,
-                      stop=stop, max_steps=cap, record=False, batch_sizes=[b for b, _ in cells])
+    traces = simulate(spec, [replace(config_template, batch_size=b) for b, _ in cells],
+                      [master.child(b, s) for b, s in cells], x0, stop, cap, record=False)
     rows = [_row(b, s, trace) for (b, s), trace in zip(cells, traces)]
     per_batch = []
     for i, b in enumerate(grid):

@@ -320,10 +320,10 @@ BAD_INPUTS = {
         "verify", [], {"verify": dict(SMALL_VERIFY["verify"], ensemble_steps=10 ** 15)}, None,
         "$.verify: the step budget does not fit in memory"),
     # every b's (m,) samples are 8 PB: the helper thread's b = 64 draw fails as the main
-    # thread's b = 1 does
+    # thread's b = 1 does, and the error names the sample count, not a step budget
     "verify-variance-draws-past-memory": (
         "verify", [], {"verify": dict(SMALL_VERIFY["verify"], variance_draws=10 ** 15)}, None,
-        "$.verify: the step budget does not fit in memory"),
+        "$.verify.variance_draws: the variance-scaling samples do not fit in memory"),
 }
 
 
@@ -349,7 +349,7 @@ def test_bad_input_exits_2_naming_its_path(tmp_path, capsys, monkeypatch, case):
 
 def test_a_memory_error_on_the_helper_thread_exits_2(tmp_path, capsys, monkeypatch):
     """verify's b = 64 draw runs on a helper thread; its MemoryError is raised
-    again on the main thread, which maps it to exit 2 naming $.verify."""
+    again on the main thread as exit 2 naming $.verify.variance_draws."""
     sampler = analysis.minibatch_deviation_sq_samples
 
     def fail_at_64(spec, x, b, m, rng):
@@ -362,7 +362,8 @@ def test_a_memory_error_on_the_helper_thread_exits_2(tmp_path, capsys, monkeypat
     threads = threading.active_count()
     assert exit_status(["verify", "--config", write_cfg(tmp_path, SMALL_VERIFY),
                         "--out", str(out)]) == 2
-    assert "$.verify: the step budget does not fit in memory (planted)" in capsys.readouterr().err
+    assert ("$.verify.variance_draws: the variance-scaling samples do not fit in memory "
+            "(planted)") in capsys.readouterr().err
     assert not out.exists()
     assert threading.active_count() == threads
 

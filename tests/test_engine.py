@@ -11,8 +11,7 @@ import pytest
 
 from noise_lab import problems
 from noise_lab.noise import minibatch_deviation_sq_samples
-from noise_lab.optimizers import (DIVERGENCE_LIMIT, OptimizerConfig, OptimizerState, nshb_step,
-                                  run, sgd_step, shb_step, simulate)
+from noise_lab.optimizers import DIVERGENCE_LIMIT, OptimizerConfig, run, simulate
 from noise_lab.problems import (CellDraws, ConstantGradient, FiniteSumLeastSquares,
                                 NoisyQuadratic, RngStream, SineBowl)
 from noise_lab.sweep import StopRule
@@ -72,37 +71,40 @@ def v1_draw(spec, x, b, gen):
 def reference_run(spec, config, x0, max_steps, rng, stop=None, draw=step_draw):
     """The one-cell step loop written out: one generator for the cell, then
     per step the exact gradient, one minibatch from that generator, one
-    update, divergence check, then the stop rule."""
+    update (each algorithm's own formula, not the engine's shared rule),
+    divergence check, then the stop rule."""
     gen = cell_generator(rng)
-    state = OptimizerState.initial(x0)
+    x, buf = np.asarray(x0, dtype=float).copy(), np.zeros(spec.dim)
     acc = stop.start(1) if stop is not None else None
     xs, grads, mbs, dirs, fs = [], [], [], [], []
     exit_reason = "step-cap"
     for t in range(max_steps):
-        x_t = state.x
+        x_t = x
         g = spec.grad(x_t)
         gb = draw(spec, x_t, config.batch_size, gen)
         if config.algo == "sgd":
-            sgd_step(state, gb, config.eta)
+            x = x - config.eta * gb
             d = gb
         elif config.algo == "nshb":
-            nshb_step(state, gb, config.eta, config.beta)
-            d = state.momentum
+            buf = (1.0 - config.beta) * gb + config.beta * buf
+            x = x - config.eta * buf
+            d = buf
         else:
-            shb_step(state, gb, config.gamma, config.beta_bar)
-            d = state.momentum
+            buf = gb + config.beta_bar * buf
+            x = x - config.gamma * buf
+            d = buf
         xs.append(x_t)
         grads.append(g)
         mbs.append(gb)
-        dirs.append(d.copy())
+        dirs.append(d)
         fs.append(spec.value(x_t))
-        if not np.all(np.isfinite(state.x)) or np.max(np.abs(state.x)) > DIVERGENCE_LIMIT:
+        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_LIMIT:
             exit_reason = "diverged"
             break
         if acc is not None and acc.observe(t, g, gb, x_t):
             exit_reason = "converged"
             break
-    return {"exit_reason": exit_reason, "steps": len(xs), "x_final": state.x,
+    return {"exit_reason": exit_reason, "steps": len(xs), "x_final": x,
             "x_snapshot": np.array(xs), "grad": np.array(grads),
             "minibatch_grad": np.array(mbs), "search_direction": np.array(dirs),
             "f_value": np.array(fs)}
@@ -125,7 +127,8 @@ class TestParity:
     def test_ensemble_equals_per_seed_runs(self, spec, config):
         rng = RngStream(31).child("parity")
         x0 = spec.default_start() * 0.5
-        traces = simulate(spec, config, [rng.child(s) for s in range(5)], x0=x0, max_steps=40)
+        traces = simulate(spec, [config] * 5, [rng.child(s) for s in range(5)], x0=x0,
+                          max_steps=40)
         for seed, trace in enumerate(traces):
             alone = run(spec, config, x0=x0, max_steps=40, rng=rng.child(seed))
             assert_same_trace(trace, alone)
@@ -199,14 +202,14 @@ def test_one_exact_gradient_per_step(spec, monkeypatch):
         return grad(obj, x)
     monkeypatch.setattr(type(spec), "grad", counted)
     config = CONFIGS[1]
-    simulate(spec, config, [RngStream(6).child(c) for c in range(4)], max_steps=30)
+    simulate(spec, [config] * 4, [RngStream(6).child(c) for c in range(4)], max_steps=30)
     assert calls == [(4, spec.dim)] * 30
     calls.clear()
     run(spec, config, max_steps=30, rng=RngStream(6))
     assert calls == [(1, spec.dim)] * 30
     if isinstance(spec, FiniteSumLeastSquares):
         calls.clear()
-        simulate(spec, config, [RngStream(6).child(c) for c in range(100)], max_steps=5)
+        simulate(spec, [config] * 100, [RngStream(6).child(c) for c in range(100)], max_steps=5)
         assert calls == [(100, spec.dim)] * 5
 
 
@@ -426,7 +429,7 @@ def test_cells_leave_the_stack_on_divergence_and_convergence(kind):
                         kind=kind, reference_point=np.zeros(1))
     streams = [RngStream(8).child(c) for c in range(10)]
     for cap in (200, 40):
-        traces = simulate(spec, config, streams, x0=x0, stop=stop, max_steps=cap)
+        traces = simulate(spec, [config] * 10, streams, x0=x0, stop=stop, max_steps=cap)
         reasons = {t.exit_reason for t in traces}
         assert {"converged", "diverged"} <= reasons
         assert ("step-cap" in reasons) == (cap == 40)
@@ -449,7 +452,7 @@ def test_a_non_finite_minibatch_gradient_ends_only_its_cell(config):
     x0 = np.array([1e-4])
     streams = [RngStream(8).child(c) for c in range(8)]
     with np.errstate(over="ignore", invalid="ignore"):
-        traces = simulate(spec, config, streams, x0=x0, max_steps=4)
+        traces = simulate(spec, [config] * 8, streams, x0=x0, max_steps=4)
         for stream, trace in zip(streams, traces):
             alone = run(spec, config, x0=x0, max_steps=4, rng=stream)
             gb = trace.minibatch_grad
@@ -471,7 +474,7 @@ def test_no_streams_take_no_steps(monkeypatch):
     """A stack of no cells returns no traces at once, without stepping."""
     spec, calls = NoisyQuadratic(dim=2, variance=1.0), []
     monkeypatch.setattr(type(spec), "grad", lambda obj, x: calls.append(len(x)) or x)
-    assert simulate(spec, CONFIGS[0], [], max_steps=100_000) == []
+    assert simulate(spec, [], [], max_steps=100_000) == []
     assert calls == []
 
 
@@ -483,8 +486,8 @@ def test_a_stopped_stack_grows_its_columns_as_it_steps(epsilon):
     recorded without a stop rule, whose columns are allocated at once."""
     spec, config = NoisyQuadratic(dim=2, variance=1.0), OptimizerConfig(algo="sgd", eta=0.01)
     x0, streams = np.array([2.0, -1.0]), [RngStream(3).child(c) for c in range(3)]
-    full = simulate(spec, config, streams, x0=x0, max_steps=2500)
-    stopped = simulate(spec, config, streams, x0=x0, stop=StopRule(epsilon=epsilon),
+    full = simulate(spec, [config] * 3, streams, x0=x0, max_steps=2500)
+    stopped = simulate(spec, [config] * 3, streams, x0=x0, stop=StopRule(epsilon=epsilon),
                        max_steps=2500)
     assert all(t.steps > 2048 for t in stopped)
     for trace, whole in zip(stopped, full):
@@ -494,16 +497,41 @@ def test_a_stopped_stack_grows_its_columns_as_it_steps(epsilon):
 
 def test_batch_sizes_must_be_contiguous_and_one_per_stream():
     """Rows of equal batch size form one draw group: a size that comes back
-    after another is rejected before any step, as is a list of the wrong length;
-    each trace carries its row's size and equals its cell run alone."""
+    after another is rejected before any step, as is a list of configs of the
+    wrong length; each trace carries its row's config and equals its cell run
+    alone."""
     spec, streams = NoisyQuadratic(dim=2, variance=1.0), [RngStream(4).child(c) for c in range(4)]
     for sizes in ([2, 4, 2, 4], [1, 1, 8, 1], [2, 2, 4]):
-        with pytest.raises(ValueError, match="equal sizes contiguous"):
-            simulate(spec, CONFIGS[0], streams, batch_sizes=sizes, max_steps=3)
-    traces = simulate(spec, CONFIGS[0], streams, batch_sizes=[4, 4, 1, 2], max_steps=3)
-    for b, stream, trace in zip((4, 4, 1, 2), streams, traces):
-        assert trace.config == replace(CONFIGS[0], batch_size=b)
-        assert_same_trace(trace, run(spec, trace.config, max_steps=3, rng=stream))
+        with pytest.raises(ValueError, match="equal batch sizes contiguous"):
+            simulate(spec, [replace(CONFIGS[0], batch_size=b) for b in sizes], streams,
+                     max_steps=3)
+    configs = [replace(CONFIGS[0], batch_size=b) for b in (4, 4, 1, 2)]
+    traces = simulate(spec, configs, streams, max_steps=3)
+    for config, stream, trace in zip(configs, streams, traces):
+        assert trace.config is config
+        assert_same_trace(trace, run(spec, config, max_steps=3, rng=stream))
+
+
+def test_a_stack_may_mix_algorithms():
+    """sgd, nshb and shb rows at two batch sizes step as one stack, and the
+    b = 5 sgd row, whose rate makes it diverge, leaves the stack early with
+    its coefficients: every row equals its one-row run and the written-out
+    step loop of its own algorithm, bit for bit."""
+    spec, x0 = NoisyQuadratic(dim=2, variance=1.0), np.array([2.0, -1.0])
+    configs = [replace(c, batch_size=2) for c in CONFIGS]
+    configs += [replace(CONFIGS[2], batch_size=5),
+                OptimizerConfig(algo="sgd", eta=2.5, batch_size=5),
+                replace(CONFIGS[1], batch_size=5)]
+    streams = [RngStream(17).child("mixed", r) for r in range(len(configs))]
+    traces = simulate(spec, configs, streams, x0=x0, max_steps=300)
+    assert [t.exit_reason for t in traces] == ["step-cap"] * 4 + ["diverged", "step-cap"]
+    assert traces[4].steps < 300
+    for config, stream, trace in zip(configs, streams, traces):
+        assert trace.config is config
+        assert_same_trace(trace, run(spec, config, x0=x0, max_steps=300, rng=stream))
+        ref = reference_run(spec, config, x0, 300, stream)
+        for name in ("x_final", "x_snapshot", "minibatch_grad", "search_direction"):
+            assert np.array_equal(getattr(trace, name), ref[name]), name
 
 
 @pytest.mark.parametrize("kind", ["cumulative-grad-norm", "inner-product"])
@@ -513,7 +541,8 @@ def test_each_cell_keeps_its_own_stop_accumulator(kind):
     x0 = np.array([2.0, -1.0])
     stop = StopRule(epsilon=0.6, kind=kind, reference_point=np.zeros(2))
     streams = [RngStream(3).child(c) for c in range(12)]
-    traces = simulate(spec, config, streams, x0=x0, stop=stop, max_steps=400, record=False)
+    traces = simulate(spec, [config] * 12, streams, x0=x0, stop=stop, max_steps=400,
+                      record=False)
     converged = [t.steps for t in traces if t.exit_reason == "converged"]
     assert len(set(converged)) > 3          # cells leave the stack at different steps
     for stream, trace in zip(streams, traces):
@@ -584,9 +613,9 @@ def test_tapes_equal_the_written_out_step_loop(spec, tape_steps, monkeypatch):
     config, x0 = CONFIGS[1], spec.default_start() * 0.5
     stop = StopRule(epsilon=0.3 * float(np.linalg.norm(spec.grad(x0))))
     streams = [RngStream(15).child("tape", c) for c in range(6)]
-    for sizes in (None, [1, 1, 3, 3, 64, 64]):
-        traces = simulate(spec, config, streams, x0=x0, stop=stop, max_steps=150,
-                          batch_sizes=sizes)
+    for sizes in ([config.batch_size] * 6, [1, 1, 3, 3, 64, 64]):
+        traces = simulate(spec, [replace(config, batch_size=b) for b in sizes], streams, x0=x0,
+                          stop=stop, max_steps=150)
         for stream, trace in zip(streams, traces):
             ref = reference_run(spec, trace.config, x0, 150, stream, stop=stop)
             assert (trace.exit_reason, trace.steps) == (ref["exit_reason"], ref["steps"])

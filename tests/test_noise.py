@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from noise_lab import problems
 from noise_lab.noise import (
     default_burn_in,
     gradient_noise_samples,
@@ -53,7 +54,7 @@ def stationary_level(beta):
     spec = ConstantGradient(dim=2, variance=1.0, coefficient=[1.0, 1.0])
     cfg = OptimizerConfig(algo="nshb", eta=0.05, beta=beta, batch_size=1)
     streams = [RngStream(7).child(c) for c in range(cells_for_level(beta))]
-    traces = simulate(spec, cfg, streams, x0=np.zeros(2),
+    traces = simulate(spec, [cfg] * len(streams), streams, x0=np.zeros(2),
                       max_steps=default_burn_in(beta) + LEVEL_WINDOW)
     summaries = [search_direction_noise(t, spec).summary for t in traces]
     return (float(np.mean([s.mean_omega_sq for s in summaries])),
@@ -196,6 +197,29 @@ class TestMinibatchDeviationSamples:
         dev = spec.minibatch_grad_means(x, b, m, RngStream(8).generator()) - spec.grad(x)
         assert np.array_equal(minibatch_deviation_sq_samples(spec, x, b, m, RngStream(8)),
                               rowdot(dev, dev))
+
+    @pytest.mark.parametrize("spec", [
+        NoisyQuadratic(dim=2, variance=4.0),
+        FiniteSumLeastSquares(np.arange(10.0).reshape(5, 2) % 3, np.arange(5.0))],
+        ids=["quadratic-dim2", "finite-sum"])
+    def test_one_gradient_for_every_block(self, spec, monkeypatch):
+        """Five blocks of two rows are drawn through minibatch_grad_means,
+        around one exact gradient at x taken once for the call, to the bits
+        of the blocks each taking its own."""
+        x, b = np.array([1.0, -2.0]), 4
+        monkeypatch.setattr(problems, "_CHUNK_SCALARS", 2 * spec._row_scalars(b, True))
+        gen, want = RngStream(6).generator(), []
+        for _ in range(5):
+            dev = spec.minibatch_grad_means(x, b, 2, gen) - spec.grad(x)
+            want.extend(rowdot(dev, dev))
+        grads, blocks = [], []
+        grad, means = spec.grad, spec.minibatch_grad_means
+        monkeypatch.setattr(spec, "grad", lambda x: grads.append(x) or grad(x))
+        monkeypatch.setattr(spec, "minibatch_grad_means",
+                            lambda *args: blocks.append(args) or means(*args))
+        got = minibatch_deviation_sq_samples(spec, x, b, 10, RngStream(6))
+        assert len(blocks) == 5 and len(grads) == 1
+        assert np.array_equal(got, want)
 
     def test_bad_counts_rejected(self):
         q = NoisyQuadratic(dim=2, variance=4.0)

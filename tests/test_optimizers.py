@@ -101,6 +101,22 @@ class TestShbStep:
         np.testing.assert_allclose(state.momentum, g / (1 - beta_bar), rtol=1e-12)
 
 
+@pytest.mark.parametrize("step, args", [(sgd_step, (0.1,)), (nshb_step, (0.1, 0.5)),
+                                        (shb_step, (0.1, 0.5))], ids=["sgd", "nshb", "shb"])
+def test_a_step_writes_no_array_the_caller_holds(step, args):
+    """A step rebinds the state's iterate and buffer: the arrays they were
+    before, and the gradient, keep their values."""
+    state, g = OptimizerState.initial([1.0, -1.0]), np.array([0.5, 2.0])
+    held = []
+    for _ in range(3):
+        held.append((state.x, state.momentum, state.x.copy(), state.momentum.copy()))
+        step(state, g, *args)
+    for x, m, x_was, m_was in held:
+        assert np.array_equal(x, x_was) and np.array_equal(m, m_was)
+        assert x is not state.x and m is not state.momentum
+    assert np.array_equal(g, [0.5, 2.0])
+
+
 class TestMapShbToNshb:
     def test_reference_values(self):
         assert map_shb_to_nshb(0.1, 0.9) == pytest.approx((1.0, 0.9))
